@@ -60,11 +60,12 @@ pub enum LeafScan {
     /// Compute all `|P| × |Q|` distances — CP3 exactly as the paper states
     /// it.
     BruteForce,
-    /// Distance-based plane sweep: sort both leaves' entries along the axis
-    /// with the largest combined extent and stop each inner scan as soon as
-    /// the separation along that axis alone exceeds the live pruning
-    /// threshold `T`. Identical results (the K-heap tie order is canonical),
-    /// far fewer distance computations.
+    /// Distance-based plane sweep: walk both leaves' entries in order along
+    /// the axis with the largest combined extent and stop each inner scan as
+    /// soon as the separation along that axis alone exceeds the live pruning
+    /// threshold `T`. Each leaf's order is computed once per decoded node
+    /// and axis, not per leaf pair. Identical results (the K-heap tie order
+    /// is canonical), far fewer distance computations.
     #[default]
     PlaneSweep,
 }
@@ -90,8 +91,9 @@ pub struct CpqConfig {
     pub height: HeightStrategy,
     /// K-pruning bound for `K > 1`.
     pub k_pruning: KPruning,
-    /// Sorting algorithm used by STD to order candidates (and by the
-    /// plane-sweep leaf scan to order leaf entries).
+    /// Sorting algorithm used by STD to order candidates (footnote 2 of the
+    /// paper). The plane-sweep leaf scan does not sort per leaf pair and
+    /// does not use it.
     pub sort: SortAlgorithm,
     /// Leaf/leaf scanning strategy for step CP3.
     pub leaf_scan: LeafScan,

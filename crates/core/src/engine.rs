@@ -12,7 +12,7 @@ use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
 use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject};
 use cpq_obs::{Probe, ProbeSide};
-use cpq_rtree::{InnerEntry, LeafEntry, Node, RTree, RTreeError, RTreeResult};
+use cpq_rtree::{DecodedNode, InnerEntry, LeafEntry, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::time::Instant;
 
@@ -87,16 +87,17 @@ pub(crate) struct Cand<const D: usize> {
     pub minmin: Dist2,
 }
 
-/// The projection of one leaf entry's MBR onto the sweep axis, plus enough
-/// to find the entry again.
-#[derive(Clone, Copy)]
-struct SweepProj {
-    /// Lower coordinate on the sweep axis (the sort key).
-    lo: f64,
-    /// Upper coordinate on the sweep axis (the gap is measured from here).
-    hi: f64,
-    /// Index into the originating leaf's entry slice.
-    idx: u32,
+/// Running state of one plane-sweep leaf scan (see
+/// [`Ctx::scan_leaves_sweep`]).
+struct Sweep {
+    /// The sweep axis.
+    axis: usize,
+    /// The live threshold `T`, refreshed whenever an offer lands.
+    t: Dist2,
+    /// Kernel calls that bailed out on `T` (probed runs only).
+    early_outs: u64,
+    /// Pairs the sweep reached before its gap breaks (probed runs only).
+    visited: u64,
 }
 
 /// Mutable state of one query run, shared by all algorithm variants.
@@ -152,10 +153,6 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     pub ledger_p: u64,
     /// Logical node reads on `Q` (see `ledger_p`).
     pub ledger_q: u64,
-    /// Scratch for the plane-sweep leaf scan (one buffer per side), reused
-    /// across leaf pairs.
-    sweep_p: Vec<SweepProj>,
-    sweep_q: Vec<SweepProj>,
     /// Scratch for the two sides of candidate generation, reused across
     /// calls (the recursion never re-enters `gen_cands` while these are
     /// borrowed).
@@ -166,12 +163,20 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     /// allocates nothing.
     cand_pool: Vec<Vec<Cand<D>>>,
     keyed_pool: Vec<Vec<(Cand<D>, f64)>>,
+    /// Scratch for the `K > 1` MAXMAXDIST bound of
+    /// [`apply_bounds`](Self::apply_bounds), reused across node pairs.
+    maxes: Vec<(Dist2, u64)>,
 }
 
 /// The recursion step the four recursive algorithms hand to
 /// [`Ctx::descend`]: process one child node pair at its pages.
-pub(crate) type RecurseFn<'a, const D: usize, O, P> =
-    fn(&mut Ctx<'a, D, O, P>, &Node<D, O>, &Node<D, O>, PageId, PageId) -> RTreeResult<()>;
+pub(crate) type RecurseFn<'a, const D: usize, O, P> = fn(
+    &mut Ctx<'a, D, O, P>,
+    &DecodedNode<D, O>,
+    &DecodedNode<D, O>,
+    PageId,
+    PageId,
+) -> RTreeResult<()>;
 
 impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     #[allow(clippy::too_many_arguments)]
@@ -205,12 +210,11 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             scatter,
             ledger_p: 0,
             ledger_q: 0,
-            sweep_p: Vec::new(),
-            sweep_q: Vec::new(),
             sides_p: Vec::new(),
             sides_q: Vec::new(),
             cand_pool: Vec::new(),
             keyed_pool: Vec::new(),
+            maxes: Vec::new(),
         }
     }
 
@@ -313,17 +317,18 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// Reads one node of the given side, charging exactly one logical
     /// access to the side's ledger and probing it.
     ///
-    /// Sequentially this is `RTree::read_node` plus the probe call the
-    /// algorithms previously made inline. In parallel mode the node cache
-    /// warmed by the speculative workers is consulted first; hit or miss,
-    /// the ledger records the same +1 the sequential run's buffer pool
-    /// would, which keeps reported disk accesses identical to a sequential
-    /// run against unbuffered (`capacity = 0`) pools.
+    /// Sequentially this is [`RTree::read_shared`] — the decoded node cached
+    /// in the page's buffer frame, one logical page read — plus the probe
+    /// call. In parallel mode the node cache warmed by the speculative
+    /// workers is consulted first; hit or miss, the ledger records the same
+    /// +1 the sequential run's buffer pool would, which keeps reported disk
+    /// accesses identical to a sequential run against unbuffered
+    /// (`capacity = 0`) pools.
     pub(crate) fn read_side(
         &mut self,
         side: ProbeSide,
         page: PageId,
-    ) -> RTreeResult<Arc<Node<D, O>>> {
+    ) -> RTreeResult<Arc<DecodedNode<D, O>>> {
         let tree = match side {
             ProbeSide::P => self.tp,
             ProbeSide::Q => self.tq,
@@ -336,13 +341,13 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             match rt.cached_node(side, page) {
                 Some(node) => node,
                 None => {
-                    let node = Arc::new(tree.read_node(page)?);
+                    let node = tree.read_shared(page)?;
                     rt.insert_node(side, page, node.clone());
                     node
                 }
             }
         } else {
-            Arc::new(tree.read_node(page)?)
+            tree.read_shared(page)?
         };
         if P::ENABLED {
             self.probe.node_access(side, node.level());
@@ -360,7 +365,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// retained set independent of enumeration order, and every pair skipped
     /// by the sweep is strictly farther than the live threshold `T`, so it
     /// can never belong to the K best.
-    pub(crate) fn scan_leaves(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) {
+    pub(crate) fn scan_leaves(&mut self, lp: &DecodedNode<D, O>, lq: &DecodedNode<D, O>) {
         // The probe wrapper: clock reads and the dist-computation delta are
         // gated on `P::ENABLED`, so `NullProbe` pays for neither.
         let start = if P::ENABLED {
@@ -371,7 +376,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         let dist_before = self.stats.dist_computations;
         let (kernel_early_outs, sweep_pairs_skipped) = match self.cfg.leaf_scan {
             // With `T` still infinite the gap test cannot reject anything,
-            // so the sweep would pay its sorting overhead for nothing;
+            // so the sweep would pay its ordering overhead for nothing;
             // scan this pair exhaustively (it seeds the first threshold).
             LeafScan::PlaneSweep if !self.t().is_infinite() => self.scan_leaves_sweep(lp, lq),
             _ => self.scan_leaves_brute(lp, lq),
@@ -403,8 +408,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// and thread-count-invariant; pairs are bit-identical either way.
     pub(crate) fn scan_leaves_at(
         &mut self,
-        lp: &Node<D, O>,
-        lq: &Node<D, O>,
+        lp: &DecodedNode<D, O>,
+        lq: &DecodedNode<D, O>,
         page_p: PageId,
         page_q: PageId,
     ) {
@@ -449,7 +454,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     ///
     /// Returns `(kernel_early_outs, sweep_pairs_skipped)` — both zero here:
     /// the brute path computes full distances and visits every pair.
-    fn scan_leaves_brute(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> (u64, u64) {
+    fn scan_leaves_brute(&mut self, lp: &DecodedNode<D, O>, lq: &DecodedNode<D, O>) -> (u64, u64) {
         for ep in lp.leaf_entries() {
             for eq in lq.leaf_entries() {
                 if self.self_join && ep.oid >= eq.oid {
@@ -470,17 +475,19 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
 
     /// Distance-based plane sweep over the two leaves' entry sequences.
     ///
-    /// Both leaves' entries are projected onto the axis with the largest
-    /// combined extent and each side is sorted by its lower coordinate
-    /// (reusing the configured [`SortAlgorithm`](crate::SortAlgorithm)).
-    /// Two cursors then walk the sorted runs in merged order: the run whose
-    /// head has the smaller `lo` yields the next *anchor*, which scans
-    /// forward through the other run only. Because lower coordinates ascend,
-    /// the axis separation `other.lo - anchor.hi` is non-decreasing along
-    /// that scan, and once its square alone exceeds the live threshold `T`
-    /// no later pair can qualify — the inner scan stops. Survivors go
-    /// through the threshold-aware distance kernel, which bails out
-    /// mid-accumulation when the partial sum exceeds `T`.
+    /// The sweep axis is the one with the largest combined extent of the two
+    /// leaves' MBRs. Each leaf's entries are walked in their
+    /// [`leaf_order`](DecodedNode::leaf_order) along that axis — ascending
+    /// lower coordinate, ties by entry index — which the decoded node
+    /// computes once and keeps while it stays cached, so no leaf pair
+    /// projects or sorts anything. Two cursors walk the ordered runs in
+    /// merged order: the run whose head has the smaller `lo` yields the next
+    /// *anchor*, which scans forward through the other run only. Because
+    /// lower coordinates ascend, the axis separation `other.lo - anchor.hi`
+    /// is non-decreasing along that scan, and once its square alone exceeds
+    /// the live threshold `T` no later pair can qualify — the inner scan
+    /// stops. Survivors go through the threshold-aware distance kernel,
+    /// which bails out mid-accumulation when the partial sum exceeds `T`.
     ///
     /// Every cross pair `(p, q)` is visited exactly once, from whichever
     /// entry comes first in merged order, so this enumerates the same pairs
@@ -491,16 +498,11 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// bailed out on the threshold, and pairs never visited thanks to the
     /// axis-gap break. Both counters are gated on `P::ENABLED`, so the
     /// uninstrumented monomorphization carries no bookkeeping (they read 0).
-    fn scan_leaves_sweep(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> (u64, u64) {
-        let eps = lp.leaf_entries();
-        let eqs = lq.leaf_entries();
-        if eps.is_empty() || eqs.is_empty() {
-            return (0, 0);
-        }
-        // analyze: allow(panic-path) — guarded by the emptiness check above.
-        let bp = lp.mbr().expect("non-empty leaf has an MBR");
-        // analyze: allow(panic-path) — guarded by the emptiness check above.
-        let bq = lq.mbr().expect("non-empty leaf has an MBR");
+    fn scan_leaves_sweep(&mut self, lp: &DecodedNode<D, O>, lq: &DecodedNode<D, O>) -> (u64, u64) {
+        let (eps, eqs) = (lp.leaf_entries(), lq.leaf_entries());
+        let (Some(bp), Some(bq)) = (lp.mbr(), lq.mbr()) else {
+            return (0, 0); // an empty leaf pairs with nothing
+        };
         let mut axis = 0;
         let mut best = f64::NEG_INFINITY;
         for d in 0..D {
@@ -511,114 +513,86 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                 axis = d;
             }
         }
-
-        let mut ps = std::mem::take(&mut self.sweep_p);
-        let mut qs = std::mem::take(&mut self.sweep_q);
-        for (side, entries) in [(&mut ps, eps), (&mut qs, eqs)] {
-            side.clear();
-            side.extend(entries.iter().enumerate().map(|(i, e)| {
-                let r = e.mbr();
-                SweepProj {
-                    lo: r.lo().coord(axis),
-                    hi: r.hi().coord(axis),
-                    idx: i as u32,
-                }
-            }));
-            // The `(lo, idx)` key is a total order, so stable and unstable
-            // sort algorithms all produce the same sequence.
-            self.cfg.sort.sort_by(side, |a, b| {
-                a.lo.total_cmp(&b.lo).then_with(|| a.idx.cmp(&b.idx))
-            });
-        }
+        let (ps, qs) = (lp.leaf_order(axis), lq.leaf_order(axis));
+        let lo = |e: &LeafEntry<D, O>| e.mbr().lo().coord(axis);
 
         // `T` only changes when an offer lands, so it is hoisted out of the
         // loop and refreshed exactly then — the break still fires as early
         // as the freshest bound allows.
-        let mut t = self.t();
-        let mut early_outs = 0u64;
-        let mut visited = 0u64;
+        let mut sweep = Sweep {
+            axis,
+            t: self.t(),
+            early_outs: 0,
+            visited: 0,
+        };
         let (mut i, mut j) = (0, 0);
         while i < ps.len() && j < qs.len() {
-            if ps[i].lo <= qs[j].lo {
-                let a = ps[i];
+            let (a, b) = (&eps[ps[i] as usize], &eqs[qs[j] as usize]);
+            if lo(a) <= lo(b) {
                 i += 1;
-                for b in &qs[j..] {
-                    let gap = b.lo - a.hi;
-                    if gap > 0.0 && gap * gap > t.get() {
-                        break; // later items only move farther along the axis
-                    }
-                    if P::ENABLED {
-                        visited += 1;
-                    }
-                    let (ep, eq) = (&eps[a.idx as usize], &eqs[b.idx as usize]);
-                    if self.self_join && ep.oid >= eq.oid {
-                        continue; // one orientation per unordered pair
-                    }
-                    if !self
-                        .constraint
-                        .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                    {
-                        continue; // filtered before the kernel
-                    }
-                    self.stats.dist_computations += 1;
-                    match min_min_dist2_within(&ep.mbr(), &eq.mbr(), t) {
-                        Some(d2) => {
-                            if self.offer_pair_d2(ep, eq, d2) {
-                                t = self.t();
-                            }
-                        }
-                        None => {
-                            if P::ENABLED {
-                                early_outs += 1;
-                            }
-                        }
+                self.sweep_anchor::<true>(&mut sweep, a, &qs[j..], eqs);
+            } else {
+                j += 1;
+                self.sweep_anchor::<false>(&mut sweep, b, &ps[i..], eps);
+            }
+        }
+        let skipped = if P::ENABLED {
+            (eps.len() as u64) * (eqs.len() as u64) - sweep.visited
+        } else {
+            0
+        };
+        (sweep.early_outs, skipped)
+    }
+
+    /// One anchor's forward scan of the plane sweep: pairs `anchor` (from
+    /// `P` when `ANCHOR_P`, else from `Q`) with the other side's remaining
+    /// run `rest` (indices into `others`) until the axis gap alone exceeds
+    /// `T`.
+    #[inline]
+    fn sweep_anchor<const ANCHOR_P: bool>(
+        &mut self,
+        sweep: &mut Sweep,
+        anchor: &LeafEntry<D, O>,
+        rest: &[u16],
+        others: &[LeafEntry<D, O>],
+    ) {
+        let ra = anchor.mbr();
+        let a_hi = ra.hi().coord(sweep.axis);
+        for &b in rest {
+            let other = &others[b as usize];
+            let rb = other.mbr();
+            let gap = rb.lo().coord(sweep.axis) - a_hi;
+            if gap > 0.0 && gap * gap > sweep.t.get() {
+                break; // later items only move farther along the axis
+            }
+            if P::ENABLED {
+                sweep.visited += 1;
+            }
+            let (ep, eq, rp, rq) = if ANCHOR_P {
+                (anchor, other, &ra, &rb)
+            } else {
+                (other, anchor, &rb, &ra)
+            };
+            if self.self_join && ep.oid >= eq.oid {
+                continue; // one orientation per unordered pair
+            }
+            if !self.constraint.admits_pair(rp, ep.oid, rq, eq.oid) {
+                continue; // filtered before the kernel
+            }
+            self.stats.dist_computations += 1;
+            match min_min_dist2_within(rp, rq, sweep.t) {
+                Some(d2) => {
+                    if self.offer_pair_d2(ep, eq, d2) {
+                        sweep.t = self.t();
                     }
                 }
-            } else {
-                let b = qs[j];
-                j += 1;
-                for a in &ps[i..] {
-                    let gap = a.lo - b.hi;
-                    if gap > 0.0 && gap * gap > t.get() {
-                        break;
-                    }
+                None => {
                     if P::ENABLED {
-                        visited += 1;
-                    }
-                    let (ep, eq) = (&eps[a.idx as usize], &eqs[b.idx as usize]);
-                    if self.self_join && ep.oid >= eq.oid {
-                        continue;
-                    }
-                    if !self
-                        .constraint
-                        .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                    {
-                        continue;
-                    }
-                    self.stats.dist_computations += 1;
-                    match min_min_dist2_within(&ep.mbr(), &eq.mbr(), t) {
-                        Some(d2) => {
-                            if self.offer_pair_d2(ep, eq, d2) {
-                                t = self.t();
-                            }
-                        }
-                        None => {
-                            if P::ENABLED {
-                                early_outs += 1;
-                            }
-                        }
+                        sweep.early_outs += 1;
                     }
                 }
             }
         }
-        let skipped = if P::ENABLED {
-            (eps.len() as u64) * (eqs.len() as u64) - visited
-        } else {
-            0
-        };
-        self.sweep_p = ps;
-        self.sweep_q = qs;
-        (early_outs, skipped)
     }
 
     /// Generates the candidate subtree pairs for a node pair into `out`,
@@ -637,8 +611,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// must descend into everything.
     pub(crate) fn gen_cands(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &DecodedNode<D, O>,
+        nq: &DecodedNode<D, O>,
         prune: bool,
         out: &mut Vec<Cand<D>>,
     ) {
@@ -737,8 +711,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gen_cands_at(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &DecodedNode<D, O>,
+        nq: &DecodedNode<D, O>,
         page_p: PageId,
         page_q: PageId,
         prune: bool,
@@ -809,18 +783,20 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                 }
             }
         } else if self.cfg.k_pruning == KPruning::MaxMaxDist {
-            let mut maxes: Vec<(Dist2, u64)> = cands
-                .iter()
-                .map(|c| {
-                    (
-                        max_max_dist2(&c.mbr_p, &c.mbr_q),
-                        c.count_p.saturating_mul(c.count_q),
-                    )
-                })
-                .collect();
-            maxes.sort_by_key(|a| a.0);
+            let mut maxes = std::mem::take(&mut self.maxes);
+            maxes.clear();
+            maxes.extend(cands.iter().map(|c| {
+                (
+                    max_max_dist2(&c.mbr_p, &c.mbr_q),
+                    c.count_p.saturating_mul(c.count_q),
+                )
+            }));
+            // Equal distances may land in any order: the bound is the
+            // distance at which the running count first reaches K, and that
+            // distance is the same however a tie group is ordered.
+            maxes.sort_unstable_by_key(|a| a.0);
             let mut cum: u64 = 0;
-            for (mx, n) in maxes {
+            for &(mx, n) in &maxes {
                 cum = cum.saturating_add(n);
                 if cum >= self.k as u64 {
                     if mx < self.bound {
@@ -829,6 +805,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                     break;
                 }
             }
+            self.maxes = maxes;
         }
         if self.bound < before {
             self.publish_scatter();
@@ -845,8 +822,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// mode).
     pub(crate) fn descend(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &DecodedNode<D, O>,
+        nq: &DecodedNode<D, O>,
         page_p: PageId,
         page_q: PageId,
         cand: &Cand<D>,

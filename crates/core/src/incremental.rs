@@ -267,11 +267,10 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
     /// Items of one node's children.
     fn expand(&mut self, page: PageId, on_p_side: bool) -> RTreeResult<Vec<Item<D, O>>> {
         let tree = if on_p_side { self.tp } else { self.tq };
-        let node = tree.read_node(page)?;
-        Ok(match node {
-            Node::Leaf(es) => es.into_iter().map(Item::Object).collect(),
+        Ok(match tree.read_shared(page)?.node() {
+            Node::Leaf(es) => es.iter().copied().map(Item::Object).collect(),
             Node::Inner { level, entries } => entries
-                .into_iter()
+                .iter()
                 .map(|e| Item::Node {
                     page: e.child,
                     level: level - 1,
@@ -410,7 +409,7 @@ pub fn k_closest_pairs_incremental<const D: usize, O: SpatialObject<D>>(
         ..*config
     };
     let mut join = distance_join(tree_p, tree_q, cfg);
-    let mut pairs = Vec::with_capacity(k);
+    let mut pairs = Vec::with_capacity(k.min(crate::kheap::PREALLOC_LIMIT));
     while pairs.len() < k {
         match join.next() {
             Some(Ok(pair)) => pairs.push(pair),

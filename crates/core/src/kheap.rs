@@ -45,6 +45,9 @@ impl<const D: usize, O: SpatialObject<D>> Ord for ByDist<D, O> {
     }
 }
 
+/// The most result slots any K-sized buffer allocates before pairs arrive.
+pub(crate) const PREALLOC_LIMIT: usize = 1024;
+
 /// Bounded max-heap of the K closest pairs discovered so far.
 pub struct KHeap<const D: usize, O: SpatialObject<D> = Point<D>> {
     k: usize,
@@ -53,11 +56,16 @@ pub struct KHeap<const D: usize, O: SpatialObject<D> = Point<D>> {
 
 impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
     /// Creates a K-heap with capacity `k` (`k >= 1`).
+    ///
+    /// `k` comes from requests and is only an upper bound on how many pairs
+    /// exist, so storage is pre-allocated for at most
+    /// [`PREALLOC_LIMIT`] pairs and grows with what is actually retained: a
+    /// `k` of `10^11` or `usize::MAX` costs no more than the pairs found.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");
         KHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOC_LIMIT)),
         }
     }
 
@@ -200,6 +208,19 @@ mod tests {
             }
             let out = h.into_sorted();
             assert_eq!((out[0].p.oid, out[0].q.oid), (0, 1));
+        }
+    }
+
+    #[test]
+    fn huge_k_allocates_only_what_it_retains() {
+        for k in [100_000_000_000usize, usize::MAX] {
+            let mut h = KHeap::new(k);
+            for x in [3.0, 1.0, 2.0] {
+                assert!(h.offer(pair(x)));
+            }
+            assert!(!h.is_full());
+            assert!(h.threshold().is_infinite());
+            assert_eq!(h.into_sorted().len(), 3);
         }
     }
 

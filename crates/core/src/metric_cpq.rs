@@ -145,10 +145,10 @@ pub fn k_closest_pairs_metric<const D: usize, O: SpatialObject<D>>(
         if item.bound > kheap.threshold() {
             break;
         }
-        let np = tree_p.read_node(item.page_p)?;
-        let nq = tree_q.read_node(item.page_q)?;
+        let np = tree_p.read_shared(item.page_p)?;
+        let nq = tree_q.read_shared(item.page_q)?;
         stats.node_pairs_processed += 1;
-        match (&np, &nq) {
+        match (np.node(), nq.node()) {
             (Node::Leaf(ps), Node::Leaf(qs)) => {
                 for ep in ps {
                     for eq in qs {

@@ -60,7 +60,7 @@ use cpq_check::sync::{Arc, Condvar, Mutex};
 use cpq_geo::{min_min_dist2, Dist2, SpatialObject};
 use cpq_obs::{ParallelReport, Probe, ProbeSide};
 use cpq_rng::Rng;
-use cpq_rtree::{Node, RTree, RTreeError, RTreeResult};
+use cpq_rtree::{DecodedNode, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -128,8 +128,8 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
     claimed: Mutex<HashSet<u64>>,
     /// Decoded-node caches, one per side (a self-join populates both with
     /// the same tree's nodes; the duplication is harmless).
-    nodes_p: Mutex<HashMap<u32, Arc<Node<D, O>>>>,
-    nodes_q: Mutex<HashMap<u32, Arc<Node<D, O>>>>,
+    nodes_p: Mutex<HashMap<u32, Arc<DecodedNode<D, O>>>>,
+    nodes_q: Mutex<HashMap<u32, Arc<DecodedNode<D, O>>>>,
     /// Finished speculative tasks by pair key.
     pairs: Mutex<HashMap<u64, Arc<TaskOut<D, O>>>>,
     /// The shared global bound (see [`crate::SharedBound`]): an upper bound
@@ -238,7 +238,11 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     }
 
     /// Driver-side node-cache lookup.
-    pub(crate) fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D, O>>> {
+    pub(crate) fn cached_node(
+        &self,
+        side: ProbeSide,
+        page: PageId,
+    ) -> Option<Arc<DecodedNode<D, O>>> {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -247,14 +251,14 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     }
 
     /// Inserts a node the driver had to read itself.
-    pub(crate) fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D, O>>) {
+    pub(crate) fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<DecodedNode<D, O>>) {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
             .insert(page.0, node);
     }
 
-    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<Node<D, O>>>> {
+    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<DecodedNode<D, O>>>> {
         match side {
             ProbeSide::P => &self.nodes_p,
             ProbeSide::Q => &self.nodes_q,
@@ -428,11 +432,11 @@ fn worker_node<const D: usize, O: SpatialObject<D>>(
     side: ProbeSide,
     tree: &RTree<D, O>,
     page: u32,
-) -> RTreeResult<Arc<Node<D, O>>> {
+) -> RTreeResult<Arc<DecodedNode<D, O>>> {
     if let Some(node) = rt.cached_node(side, PageId(page)) {
         return Ok(node);
     }
-    let node = Arc::new(tree.read_node(PageId(page))?);
+    let node = tree.read_shared(PageId(page))?;
     rt.insert_node(side, PageId(page), node.clone());
     Ok(node)
 }
@@ -455,9 +459,9 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
             let mut nodes = tp.read_nodes(&[PageId(req.page_p), PageId(req.page_q)])?;
             // analyze: allow(panic-path) — read_nodes returns exactly one node
             // per requested id (two here).
-            let q = Arc::new(nodes.pop().expect("two nodes"));
+            let q = nodes.pop().expect("two nodes");
             // analyze: allow(panic-path) — second of the two nodes read above.
-            let p = Arc::new(nodes.pop().expect("two nodes"));
+            let p = nodes.pop().expect("two nodes");
             rt.insert_node(ProbeSide::P, PageId(req.page_p), p.clone());
             rt.insert_node(ProbeSide::Q, PageId(req.page_q), q.clone());
             (p, q)
@@ -552,8 +556,8 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
 /// stats): the same side construction and cross-product order as
 /// `Ctx::gen_cands`, with every `MINMINDIST` computed by the full kernel.
 fn gen_cands_full<const D: usize, O: SpatialObject<D>>(
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+    np: &DecodedNode<D, O>,
+    nq: &DecodedNode<D, O>,
     height: crate::HeightStrategy,
     constraint: &Constraint<D>,
 ) -> Vec<Cand<D>> {

@@ -14,7 +14,7 @@
 use crate::engine::Ctx;
 use cpq_geo::SpatialObject;
 use cpq_obs::Probe;
-use cpq_rtree::{Node, RTreeResult};
+use cpq_rtree::{DecodedNode, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Ordering;
 
@@ -22,8 +22,8 @@ use std::cmp::Ordering;
 /// shrinks when leaf pairs are scanned.
 pub(crate) fn naive<const D: usize, O: SpatialObject<D>, P: Probe>(
     ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+    np: &DecodedNode<D, O>,
+    nq: &DecodedNode<D, O>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -46,8 +46,8 @@ pub(crate) fn naive<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// `MINMINDIST` exceeds the current threshold (left side of Inequality 1).
 pub(crate) fn exhaustive<const D: usize, O: SpatialObject<D>, P: Probe>(
     ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+    np: &DecodedNode<D, O>,
+    nq: &DecodedNode<D, O>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -75,8 +75,8 @@ pub(crate) fn exhaustive<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// Inequality 2 (1-CP) or the MAXMAXDIST cardinality bound (K-CP).
 pub(crate) fn simple<const D: usize, O: SpatialObject<D>, P: Probe>(
     ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+    np: &DecodedNode<D, O>,
+    nq: &DecodedNode<D, O>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -105,8 +105,8 @@ pub(crate) fn simple<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// so the threshold shrinks as early as possible.
 pub(crate) fn sorted<const D: usize, O: SpatialObject<D>, P: Probe>(
     ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+    np: &DecodedNode<D, O>,
+    nq: &DecodedNode<D, O>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {

@@ -62,9 +62,8 @@ impl SortAlgorithm {
     /// Sorts `items` by `cmp` using this algorithm.
     ///
     /// The `Copy` bound reflects every payload sorted here (candidate
-    /// records, axis projections, plain keys) and lets merge sort move
-    /// elements through a flat scratch buffer instead of permuting through
-    /// an index table.
+    /// records, plain keys) and lets merge sort move elements through a
+    /// flat scratch buffer instead of permuting through an index table.
     pub fn sort_by<T: Copy, F: FnMut(&T, &T) -> Ordering>(&self, items: &mut [T], mut cmp: F) {
         match self {
             SortAlgorithm::Merge => merge_sort(items, &mut cmp),

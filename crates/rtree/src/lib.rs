@@ -45,7 +45,7 @@ mod validate;
 
 pub use entry::{InnerEntry, LeafEntry};
 pub use error::{RTreeError, RTreeResult};
-pub use node::Node;
+pub use node::{DecodedNode, Node};
 pub use params::{RTreeParams, SplitPolicy};
 pub use query::KnnNeighbor;
 pub use tiling::StrTiling;

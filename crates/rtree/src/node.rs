@@ -2,6 +2,8 @@
 
 use crate::entry::{InnerEntry, LeafEntry};
 use cpq_geo::{Point, Rect, SpatialObject};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// A decoded R-tree node.
 ///
@@ -120,6 +122,76 @@ impl<const D: usize, O: SpatialObject<D>> Node<D, O> {
     }
 }
 
+/// A node decoded for read-only queries: what the buffer pool caches beside
+/// the page bytes (see [`RTree::read_shared`](crate::RTree::read_shared)) and
+/// what every query visit shares.
+///
+/// Besides the node it carries the node's MBR, computed once at decode, and
+/// for a leaf, per axis, the order of its entries by the lower coordinate of
+/// their MBRs along that axis, ties by entry index — the `(lo, idx)` total
+/// order the plane-sweep leaf scan walks. Each order is computed on first
+/// use and kept for the node's lifetime, so a resident leaf is sorted at
+/// most once per axis instead of once per leaf pair (the presort-once
+/// discipline of optimized divide-and-conquer closest pair). Orders are
+/// `u16` indices: a page holds at most `u16::MAX` entries.
+///
+/// Dereferences to the [`Node`]; [`mbr`](Self::mbr) shadows
+/// [`Node::mbr`] with the cached value.
+#[derive(Debug)]
+pub struct DecodedNode<const D: usize, O: SpatialObject<D> = Point<D>> {
+    node: Node<D, O>,
+    mbr: Option<Rect<D>>,
+    orders: [OnceLock<Box<[u16]>>; D],
+}
+
+impl<const D: usize, O: SpatialObject<D>> DecodedNode<D, O> {
+    /// Wraps a node decoded from a page, computing its MBR. A page holds at
+    /// most `u16::MAX` entries, which is what lets orders be `u16`s.
+    pub(crate) fn new(node: Node<D, O>) -> Self {
+        DecodedNode {
+            mbr: node.mbr(),
+            node,
+            orders: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The node.
+    #[inline]
+    pub fn node(&self) -> &Node<D, O> {
+        &self.node
+    }
+
+    /// MBR of all entries, or `None` for an empty node (cached).
+    #[inline]
+    pub fn mbr(&self) -> Option<Rect<D>> {
+        self.mbr
+    }
+
+    /// Indices of a leaf's entries ordered by `(mbr.lo[axis], index)`;
+    /// empty for an inner node. Computed on the first call per axis
+    /// (`axis < D`).
+    pub fn leaf_order(&self, axis: usize) -> &[u16] {
+        let Node::Leaf(es) = &self.node else {
+            return &[];
+        };
+        self.orders[axis].get_or_init(|| {
+            let lo = |i: u16| es[i as usize].mbr().lo().coord(axis);
+            let mut order: Vec<u16> = (0..es.len() as u16).collect();
+            order.sort_unstable_by(|&a, &b| lo(a).total_cmp(&lo(b)).then(a.cmp(&b)));
+            order.into_boxed_slice()
+        })
+    }
+}
+
+impl<const D: usize, O: SpatialObject<D>> Deref for DecodedNode<D, O> {
+    type Target = Node<D, O>;
+
+    #[inline]
+    fn deref(&self) -> &Node<D, O> {
+        &self.node
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +224,31 @@ mod tests {
         assert!(!node.is_leaf());
         assert_eq!(node.subtree_count(), 21);
         assert_eq!(node.mbr(), Some(Rect::from_corners([0.0, 0.0], [5.0, 5.0])));
+    }
+
+    #[test]
+    fn decoded_leaf_orders_by_lo_then_index() {
+        let node = DecodedNode::new(Node::Leaf(vec![
+            LeafEntry::new(Point([2.0, 0.0]), 0),
+            LeafEntry::new(Point([1.0, 5.0]), 1),
+            LeafEntry::new(Point([2.0, -1.0]), 2),
+            LeafEntry::new(Point([-0.0, 5.0]), 3),
+            LeafEntry::new(Point([0.0, 5.0]), 4),
+        ]));
+        assert_eq!(node.mbr(), node.node().mbr());
+        // total_cmp puts -0.0 before 0.0; equal coordinates keep index order.
+        assert_eq!(node.leaf_order(0), &[3, 4, 1, 0, 2]);
+        assert_eq!(node.leaf_order(1), &[2, 0, 1, 3, 4]);
+        let inner: DecodedNode<2> = DecodedNode::new(Node::Inner {
+            level: 1,
+            entries: vec![InnerEntry::new(
+                Rect::from_corners([0.0, 0.0], [1.0, 1.0]),
+                PageId(1),
+                3,
+            )],
+        });
+        assert!(inner.leaf_order(0).is_empty());
+        assert_eq!(inner.level(), 1);
     }
 
     #[test]

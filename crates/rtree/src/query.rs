@@ -31,9 +31,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match self.read_shared(id)?.node() {
                 Node::Leaf(es) => {
-                    out.extend(es.into_iter().filter(|e| window.intersects(&e.mbr())));
+                    out.extend(es.iter().filter(|e| window.intersects(&e.mbr())));
                 }
                 Node::Inner { entries, .. } => {
                     stack.extend(
@@ -90,7 +90,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// threshold-aware kernel, which stops accumulating per-axis
     /// contributions as soon as the partial sum crosses the bound.
     pub fn knn(&self, query: &Point<D>, k: usize) -> RTreeResult<Vec<KnnNeighbor<D, O>>> {
-        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        // Sizes are capped by the tree: a huge `k` must not pre-allocate.
+        let cap = k.min(self.len() as usize);
+        let mut out = Vec::with_capacity(cap);
         if k == 0 || !self.root().is_valid() {
             return Ok(out);
         }
@@ -108,7 +110,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         let mut pending: Vec<LeafEntry<D, O>> = Vec::new(); // store for Point items
                                                             // Max-heap of the k smallest point distances seen so far; its top is
                                                             // the pruning bound once k candidates exist.
-        let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(k + 1);
+        let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(cap + 1);
         let bound = |worst: &BinaryHeap<Dist2>| {
             if worst.len() >= k {
                 // analyze: allow(panic-path) — guarded by the length check above.
@@ -128,9 +130,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                         break;
                     }
                 }
-                Item::Node(id) => match self.read_node(id)? {
+                Item::Node(id) => match self.read_shared(id)?.node() {
                     Node::Leaf(es) => {
-                        for e in es {
+                        for &e in es {
                             let b = bound(&worst);
                             let Some(dd) = min_min_dist2_within(&qrect, &e.mbr(), b) else {
                                 continue; // farther than k candidates already seen
@@ -177,10 +179,10 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match self.read_shared(id)?.node() {
                 Node::Leaf(es) => {
                     out.extend(
-                        es.into_iter()
+                        es.iter()
                             .filter(|e| min_min_dist2(probe, &e.mbr()) <= bound),
                     );
                 }

@@ -3,7 +3,7 @@
 use crate::codec::{decode_node, encode_node};
 use crate::entry::{InnerEntry, LeafEntry};
 use crate::error::{RTreeError, RTreeResult};
-use crate::node::Node;
+use crate::node::{DecodedNode, Node};
 use crate::params::RTreeParams;
 use crate::params::SplitPolicy;
 use crate::split::{linear_split, quadratic_split, rstar_split};
@@ -85,6 +85,14 @@ impl CowDelta {
     pub fn is_empty(&self) -> bool {
         self.allocated.is_empty() && self.retired.is_empty()
     }
+}
+
+/// The decoder [`RTree::read_shared`] hands the buffer pool.
+fn decode_shared<const D: usize, O: SpatialObject<D>>(
+    id: PageId,
+    bytes: &[u8],
+) -> RTreeResult<DecodedNode<D, O>> {
+    decode_node(id, bytes).map(DecodedNode::new)
 }
 
 impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
@@ -215,23 +223,31 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         delta
     }
 
-    /// Reads and decodes a node. Counts one logical page read.
+    /// Reads and decodes a node into an owned, mutable copy. Counts one
+    /// logical page read. This is the path of tree mutation (and of
+    /// diagnostics); read-only queries use [`read_shared`](Self::read_shared).
     pub fn read_node(&self, id: PageId) -> RTreeResult<Node<D, O>> {
         let bytes = self.pool.read_page(id)?;
         decode_node(id, &bytes)
     }
 
-    /// Reads and decodes several nodes through one batched pool fetch
-    /// ([`BufferPool::get_many`]): the pool classifies hits/misses in one
-    /// pass and serves all miss I/O under a single shared file guard, so
-    /// concurrent callers (the parallel K-CPQ executor's prefetch workers)
-    /// overlap their physical reads instead of serializing per page.
-    pub fn read_nodes(&self, ids: &[PageId]) -> RTreeResult<Vec<Node<D, O>>> {
-        let pages = self.pool.get_many(ids)?;
-        ids.iter()
-            .zip(pages.iter())
-            .map(|(&id, bytes)| decode_node(id, bytes))
-            .collect()
+    /// Reads a node for a read-only query: the decoded node cached in the
+    /// page's buffer frame ([`BufferPool::read_decoded`]), shared with every
+    /// other reader of the page while it stays resident. Counts one logical
+    /// page read, exactly like [`read_node`](Self::read_node); a corrupt page
+    /// counts its read and returns [`RTreeError::CorruptNode`].
+    pub fn read_shared(&self, id: PageId) -> RTreeResult<Arc<DecodedNode<D, O>>> {
+        self.pool.read_decoded(id, decode_shared)
+    }
+
+    /// [`read_shared`](Self::read_shared) for several nodes through one
+    /// batched pool fetch ([`BufferPool::get_many_decoded`]): the pool
+    /// classifies hits/misses in one pass and serves all miss I/O under a
+    /// single shared file guard, so concurrent callers (the parallel K-CPQ
+    /// executor's prefetch workers) overlap their physical reads instead of
+    /// serializing per page.
+    pub fn read_nodes(&self, ids: &[PageId]) -> RTreeResult<Vec<Arc<DecodedNode<D, O>>>> {
+        self.pool.get_many_decoded(ids, decode_shared)
     }
 
     /// Hints that these node pages will likely be read soon. On a pool
@@ -249,7 +265,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         if !self.root.is_valid() {
             return Ok(None);
         }
-        Ok(self.read_node(self.root)?.mbr())
+        Ok(self.read_shared(self.root)?.mbr())
     }
 
     pub(crate) fn write_node(&self, id: PageId, node: &Node<D, O>) -> RTreeResult<()> {

@@ -105,3 +105,31 @@ fn cpq_over_corrupted_tree_reports_error() {
     assert!(tb.all_objects().is_err());
     assert!(ta.all_objects().is_ok(), "untouched tree keeps working");
 }
+
+#[test]
+fn corrupt_page_counts_its_miss_then_fails_the_shared_read() {
+    // A resident pool: the corrupt page is read (a miss, then a hit), and
+    // each read is accounted before decoding fails; nothing is cached for
+    // it, and a rewrite with a valid node reads back fine.
+    let tree = build(300, 7);
+    tree.pool().set_capacity(64);
+    let victim = (0..tree.pool().num_pages())
+        .map(PageId)
+        .find(|&p| p != tree.root())
+        .unwrap();
+    let good = tree.read_node(victim).unwrap();
+    let good_bytes = tree.pool().read_page(victim).unwrap().to_vec();
+    corrupt_page(&tree, victim, 0xFF);
+    tree.pool().clear();
+    tree.pool().reset_stats();
+    for _ in 0..2 {
+        let err = tree.read_shared(victim).unwrap_err();
+        assert!(matches!(err, RTreeError::CorruptNode { page, .. } if page == victim));
+    }
+    let s = tree.pool().buffer_stats();
+    assert_eq!((s.logical_reads, s.misses, s.hits), (2, 1, 1));
+    assert_eq!(tree.pool().io_stats().reads, 1);
+
+    tree.pool().write_page(victim, &good_bytes).unwrap();
+    assert_eq!(*tree.read_shared(victim).unwrap().node(), good);
+}

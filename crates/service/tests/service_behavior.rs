@@ -410,3 +410,35 @@ fn parallel_requests_bit_identical_clamped_and_deadline_safe() {
         assert!(metrics.contains(family), "missing metric family {family}");
     }
 }
+
+/// K comes straight from the request: `10^11` used to abort the worker's
+/// process when the K-heap reserved `K + 1` slots, and `usize::MAX`
+/// wrapped. Both must complete with every one of the |P|·|Q| pairs.
+#[test]
+fn huge_k_request_returns_every_pair() {
+    let (tp, tq) = tree_pair(100, 64);
+    let service = CpqService::start(
+        TreePair::new(tp, tq),
+        ServiceConfig {
+            workers: 2,
+            queue_capacity: 16,
+            cpq: CpqConfig::paper(),
+            max_parallelism: 1,
+            max_shards: 1,
+            default_deadline: None,
+            obs: ObsConfig::default(),
+        },
+    );
+    for k in [100_000_000_000usize, usize::MAX] {
+        for req in [
+            QueryRequest::cross(k, Algorithm::Heap),
+            QueryRequest::cross(k, Algorithm::SortedDistances),
+            QueryRequest::planned_cross(k),
+        ] {
+            let resp = service.execute(req).expect("admitted");
+            assert_eq!(resp.status, QueryStatus::Completed, "k={k}");
+            assert_eq!(resp.pairs.len(), 100 * 100, "k={k}: every pair");
+        }
+    }
+    service.shutdown();
+}

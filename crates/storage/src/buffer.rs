@@ -15,12 +15,14 @@
 //! Lock order is always state → file; no path waits on the state mutex while
 //! holding the file lock, so the two locks cannot deadlock.
 
+use crate::error::StorageError;
 use crate::error::StorageResult;
 use crate::file::PageFile;
 use crate::page::PageId;
 use crate::sched::{DemandTicket, SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
 use cpq_check::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -33,9 +35,6 @@ thread_local! {
 
 /// Reads one page into the thread-local scratch and returns it as
 /// freshly-allocated [`PageBytes`] — the only allocation on the miss path.
-// analyze: allow-fn(panic-surface) — the scratch buffer is resized to the
-// page size immediately before the `[..ps]` slices; the index is in bounds
-// by construction.
 fn read_via_scratch(file: &dyn PageFile, id: PageId) -> StorageResult<PageBytes> {
     MISS_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
@@ -52,6 +51,10 @@ fn read_via_scratch(file: &dyn PageFile, id: PageId) -> StorageResult<PageBytes>
 /// clone, like the `bytes::Bytes` it replaces — dropped so the workspace
 /// builds without registry access).
 pub type PageBytes = Arc<[u8]>;
+
+/// A frame's type-erased decoded form of its page (see
+/// [`BufferPool::read_decoded`]).
+type Decoded = Arc<dyn Any + Send + Sync>;
 
 /// Page-replacement policy interface.
 ///
@@ -77,8 +80,10 @@ pub trait ReplacementPolicy: Send {
 /// Least-recently-used replacement — the policy used throughout the paper.
 ///
 /// Recency is tracked with a monotone counter per frame; eviction scans for
-/// the minimum. Pools in the experiments hold at most 128 frames, so the
-/// `O(capacity)` scan is irrelevant next to the page decode that follows.
+/// the minimum, so a miss on a full pool costs `O(capacity)`. The paper's
+/// experiments use pools of at most 128 frames, where the scan is noise;
+/// pools sized to hold whole trees (tens of thousands of frames) pay it on
+/// every eviction, but once the trees are resident they never evict.
 #[derive(Debug, Default)]
 pub struct LruPolicy {
     stamp: Vec<u64>,
@@ -246,6 +251,21 @@ impl BufferStats {
 struct Frame {
     page: PageId,
     data: PageBytes,
+    /// Decoded form of `data`, installed by the first
+    /// [`read_decoded`](BufferPool::read_decoded) that finds it empty and
+    /// dropped with the frame or on any rewrite of `data`.
+    decoded: Option<Decoded>,
+}
+
+impl Frame {
+    /// The frame's decode if it has one of type `T`, else its bytes to
+    /// decode.
+    fn cached<T: Any + Send + Sync>(&self) -> Result<Arc<T>, PageBytes> {
+        match self.decoded.clone().map(|d| d.downcast::<T>()) {
+            Some(Ok(node)) => Ok(node),
+            _ => Err(self.data.clone()),
+        }
+    }
 }
 
 struct State {
@@ -264,7 +284,7 @@ impl State {
     // analyze: allow-fn(panic-surface) — frame indices come from `map`,
     // which only points at occupied in-capacity frames (structural
     // invariant of the pool state).
-    fn try_hit(&mut self, id: PageId) -> Option<PageBytes> {
+    fn try_hit(&mut self, id: PageId) -> Option<&Frame> {
         let f = *self.map.get(&id)?;
         self.stats.logical_reads += 1;
         self.stats.hits += 1;
@@ -274,19 +294,36 @@ impl State {
                 .as_ref()
                 // analyze: allow(panic-path) — `map` only points at occupied frames
                 // (structural invariant of the pool state).
-                .expect("mapped frame must be occupied")
-                .data
-                .clone(),
+                .expect("mapped frame must be occupied"),
         )
     }
 
-    /// Accounts one successful miss and installs the page (capacity and
-    /// pins permitting). If another thread installed `id` while the file
-    /// read ran outside the state lock, the existing frame is kept.
+    /// Installs `decoded` into the frame of `id` if that frame still holds
+    /// exactly the bytes `data` the decode was made from and has no decode
+    /// yet. The decode runs with the state lock released, so a concurrent
+    /// [`write_page`](BufferPool::write_page) (which swaps in a new
+    /// allocation), eviction or free may have happened meanwhile; the
+    /// pointer comparison rejects the stale decode in every such case.
+    /// Touches no counter and no policy state.
+    fn install_decoded(&mut self, id: PageId, data: &PageBytes, decoded: Decoded) {
+        let Some(&f) = self.map.get(&id) else {
+            return;
+        };
+        if let Some(frame) = self.frames.get_mut(f).and_then(Option::as_mut) {
+            if frame.decoded.is_none() && Arc::ptr_eq(&frame.data, data) {
+                frame.decoded = Some(decoded);
+            }
+        }
+    }
+
+    /// Accounts one successful miss and installs the page with its decoded
+    /// form, if any (capacity and pins permitting). If another thread
+    /// installed `id` while the file read ran outside the state lock, the
+    /// existing frame is kept.
     // analyze: allow-fn(panic-surface) — frame indices come from the free
     // list or the eviction policy, both bounded by `capacity` (structural
     // invariant of the pool state).
-    fn complete_miss(&mut self, id: PageId, data: &PageBytes) {
+    fn complete_miss(&mut self, id: PageId, data: &PageBytes, decoded: Option<Decoded>) {
         self.stats.logical_reads += 1;
         self.stats.misses += 1;
         if self.capacity == 0 || self.map.contains_key(&id) {
@@ -312,6 +349,7 @@ impl State {
         self.frames[frame] = Some(Frame {
             page: id,
             data: data.clone(),
+            decoded,
         });
         self.map.insert(id, frame);
         self.policy.on_insert(frame);
@@ -336,6 +374,10 @@ impl State {
 ///   under the file's shared read guard with the bookkeeping mutex released,
 ///   so concurrent misses overlap; [`get_many`](BufferPool::get_many) batches
 ///   the lock traffic for multi-page fetches.
+/// * Decoded read path: each frame also holds a type-erased decoded form of
+///   its page, so [`read_decoded`](BufferPool::read_decoded) (and the batched
+///   [`get_many_decoded`](BufferPool::get_many_decoded)) decode a resident
+///   page once and then share it, with the same accounting as `read_page`.
 /// * Write path: write-through — the file always holds the latest data, and
 ///   a cached copy is refreshed in place.
 /// * Interior mutability: all methods take `&self` so two trees can be read
@@ -480,22 +522,70 @@ impl BufferPool {
     /// miss up front would let the two sides disagree forever after the
     /// first failed read.
     pub fn read_page(&self, id: PageId) -> StorageResult<PageBytes> {
-        if let Some(data) = self.guard().try_hit(id) {
+        if let Some(data) = self.guard().try_hit(id).map(|f| f.data.clone()) {
             return Ok(data);
         }
-        // Miss: physical read under the shared file guard, state unlocked,
-        // so concurrent misses (and their latencies) overlap. A scheduled
-        // pool demands through the handle — the result arrives as
-        // `PageBytes` already, no copy out of a caller buffer.
-        let data = {
-            let file = self.file_read();
-            match &self.sched {
-                Some(s) => s.demand(id)?,
-                None => read_via_scratch(file.as_ref(), id)?,
-            }
-        };
-        self.guard().complete_miss(id, &data);
+        let data = self.fetch(id)?;
+        self.guard().complete_miss(id, &data, None);
         Ok(data)
+    }
+
+    /// Miss I/O for one page: the physical read runs under the shared file
+    /// guard with the state mutex released, so concurrent misses (and their
+    /// latencies) overlap. A scheduled pool demands through the handle — the
+    /// result arrives as `PageBytes` already, no copy out of a caller buffer.
+    fn fetch(&self, id: PageId) -> StorageResult<PageBytes> {
+        let file = self.file_read();
+        match &self.sched {
+            Some(s) => s.demand(id),
+            None => read_via_scratch(file.as_ref(), id),
+        }
+    }
+
+    /// Reads a page through the cache and returns its decoded form, shared:
+    /// a resident page is decoded at most once and later reads hand out the
+    /// same `Arc`.
+    ///
+    /// Accounting is exactly [`read_page`](Self::read_page)'s — one logical
+    /// read, counted as a hit or a miss, with the same policy calls — so the
+    /// paper's disk-access counts do not depend on whether a decode was
+    /// cached. A miss decodes the fetched page before installing it, so the
+    /// frame and its decode arrive together; a hit on a frame without a
+    /// decode decodes with the state lock released and then installs the
+    /// decode only if the frame still holds the very bytes it was made from
+    /// (a concurrent write, free or eviction makes it stale, and it is then
+    /// returned to this caller only). [`write_page`](Self::write_page),
+    /// [`free_page`](Self::free_page), eviction, [`clear`](Self::clear) and
+    /// [`set_capacity`](Self::set_capacity) drop the decode with the bytes;
+    /// a capacity-0 pool retains nothing and decodes on every read. A frame
+    /// holding a decode of another type is served by a fresh, uncached one.
+    ///
+    /// A decode error is returned after the read has been accounted (the
+    /// page was read; it just does not parse), and nothing is installed.
+    pub fn read_decoded<T, E>(
+        &self,
+        id: PageId,
+        decode: impl FnOnce(PageId, &[u8]) -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+        E: From<StorageError>,
+    {
+        let hit = self.guard().try_hit(id).map(Frame::cached::<T>);
+        match hit {
+            Some(Ok(node)) => return Ok(node),
+            Some(Err(data)) => {
+                let node = Arc::new(decode(id, &data)?);
+                self.guard().install_decoded(id, &data, node.clone());
+                return Ok(node);
+            }
+            None => {}
+        }
+        let data = self.fetch(id)?;
+        let node = decode(id, &data).map(Arc::new);
+        let installed = node.as_ref().ok().map(|n| Arc::clone(n) as Decoded);
+        self.guard().complete_miss(id, &data, installed);
+        node
     }
 
     /// Batched [`read_page`](Self::read_page): one state pass classifies
@@ -512,81 +602,152 @@ impl BufferPool {
     /// completes — and accounts — the successful ones after the failure
     /// too. Both keep the books balanced: every counted miss is a
     /// successful physical read.
-    // analyze: allow-fn(panic-surface) — `out` is allocated with
-    // `ids.len()` slots and every index `i` enumerates `ids`, so the
-    // indexing cannot go out of bounds.
     pub fn get_many(&self, ids: &[PageId]) -> StorageResult<Vec<PageBytes>> {
-        let mut out: Vec<Option<PageBytes>> = vec![None; ids.len()];
-        let mut missing: Vec<(usize, PageId)> = Vec::new();
-        {
-            let mut st = self.guard();
-            for (i, &id) in ids.iter().enumerate() {
-                match st.try_hit(id) {
-                    Some(data) => out[i] = Some(data),
-                    None => missing.push((i, id)),
-                }
-            }
-        }
-        if missing.is_empty() {
-            // analyze: allow(panic-path) — every index was filled by a hit or
-            // pushed to `missing` above.
-            return Ok(out.into_iter().map(|o| o.expect("hit filled")).collect());
-        }
-        let mut fetched: Vec<(usize, PageId, PageBytes)> = Vec::with_capacity(missing.len());
-        let mut first_err = None;
-        {
-            let file = self.file_read();
-            match &self.sched {
-                Some(s) => {
-                    // Submit every miss before waiting on any: the
-                    // scheduler overlaps and coalesces them. All misses
-                    // are therefore physically read even when one fails;
-                    // each success is still accounted, and the first
-                    // error (in request order) is returned.
-                    let tickets: Vec<(usize, PageId, DemandTicket)> = missing
-                        .iter()
-                        .map(|&(i, id)| (i, id, s.submit(id)))
-                        .collect();
-                    for (i, id, t) in tickets {
-                        match s.finish(t) {
-                            Ok(data) => fetched.push((i, id, data)),
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &(i, id) in &missing {
-                        match read_via_scratch(file.as_ref(), id) {
-                            Ok(data) => fetched.push((i, id, data)),
-                            Err(e) => {
-                                first_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        {
+        let (mut slots, missing) = self.classify(ids, |f| f.data.clone());
+        let (fetched, first_err) = self.fetch_missing(&missing);
+        if !fetched.is_empty() {
             let mut st = self.guard();
             for (i, id, data) in fetched {
-                st.complete_miss(id, &data);
-                out[i] = Some(data);
+                st.complete_miss(id, &data, None);
+                slots[i] = Some(data);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            // analyze: allow(panic-path) — with no error, every missing index was
-            // filled by the fetch loop above.
-            None => Ok(out.into_iter().map(|o| o.expect("page filled")).collect()),
+        if let Some(e) = first_err {
+            return Err(e);
         }
+        let pages = slots.into_iter().map(|o| {
+            // analyze: allow(panic-path) — with no error, every index was
+            // filled by a hit or by the fetch.
+            o.expect("page filled")
+        });
+        Ok(pages.collect())
     }
 
-    /// Writes a page, write-through, refreshing any cached copy. As with
+    /// Batched [`read_decoded`](Self::read_decoded) with
+    /// [`get_many`](Self::get_many)'s lock and I/O pattern and accounting;
+    /// decodes run between the I/O and the final state pass, with the state
+    /// lock released. A storage error wins over decode errors; otherwise the
+    /// first decode error in request order is returned.
+    pub fn get_many_decoded<T, E>(
+        &self,
+        ids: &[PageId],
+        decode: impl Fn(PageId, &[u8]) -> Result<T, E>,
+    ) -> Result<Vec<Arc<T>>, E>
+    where
+        T: Any + Send + Sync,
+        E: From<StorageError>,
+    {
+        let (slots, missing) = self.classify(ids, Frame::cached::<T>);
+        let (fetched, first_err) = self.fetch_missing(&missing);
+        let mut out: Vec<Option<Result<Arc<T>, E>>> = (0..ids.len()).map(|_| None).collect();
+        let mut installs: Vec<(PageId, PageBytes, Decoded)> = Vec::new();
+        for (i, slot) in slots.into_iter().enumerate() {
+            out[i] = Some(match slot {
+                None => continue,
+                Some(Ok(node)) => Ok(node),
+                Some(Err(data)) => decode(ids[i], &data).map(|n| {
+                    let n = Arc::new(n);
+                    installs.push((ids[i], data, n.clone()));
+                    n
+                }),
+            });
+        }
+        let mut misses = Vec::with_capacity(fetched.len());
+        for (i, id, data) in fetched {
+            let node = decode(id, &data).map(Arc::new);
+            let installed = node.as_ref().ok().map(|n| Arc::clone(n) as Decoded);
+            misses.push((id, data, installed));
+            out[i] = Some(node);
+        }
+        if !misses.is_empty() || !installs.is_empty() {
+            let mut st = self.guard();
+            for (id, data, d) in misses {
+                st.complete_miss(id, &data, d);
+            }
+            for (id, data, d) in installs {
+                st.install_decoded(id, &data, d);
+            }
+        }
+        if let Some(e) = first_err {
+            return Err(e.into());
+        }
+        // analyze: allow(panic-path) — with no storage error, every index was
+        // filled by a hit or by the fetch.
+        out.into_iter().map(|o| o.expect("page filled")).collect()
+    }
+
+    /// First pass of the batched reads: serves the resident pages (counting
+    /// their hits) through `serve` and lists the missing ones with their
+    /// request index.
+    fn classify<R>(
+        &self,
+        ids: &[PageId],
+        serve: impl Fn(&Frame) -> R,
+    ) -> (Vec<Option<R>>, Vec<(usize, PageId)>) {
+        let mut slots = Vec::with_capacity(ids.len());
+        let mut missing = Vec::new();
+        let mut st = self.guard();
+        for (i, &id) in ids.iter().enumerate() {
+            let hit = st.try_hit(id).map(&serve);
+            if hit.is_none() {
+                missing.push((i, id));
+            }
+            slots.push(hit);
+        }
+        (slots, missing)
+    }
+
+    /// Miss I/O of the batched reads, under one shared file guard; returns
+    /// the pages read and the first error in request order.
+    fn fetch_missing(
+        &self,
+        missing: &[(usize, PageId)],
+    ) -> (Vec<(usize, PageId, PageBytes)>, Option<StorageError>) {
+        let mut fetched = Vec::with_capacity(missing.len());
+        let mut first_err = None;
+        if missing.is_empty() {
+            return (fetched, first_err);
+        }
+        let file = self.file_read();
+        match &self.sched {
+            Some(s) => {
+                // Submit every miss before waiting on any: the scheduler
+                // overlaps and coalesces them. All misses are therefore
+                // physically read even when one fails; each success is
+                // still accounted, and the first error (in request order)
+                // is returned.
+                let tickets: Vec<(usize, PageId, DemandTicket)> = missing
+                    .iter()
+                    .map(|&(i, id)| (i, id, s.submit(id)))
+                    .collect();
+                for (i, id, t) in tickets {
+                    match s.finish(t) {
+                        Ok(data) => fetched.push((i, id, data)),
+                        Err(e) => {
+                            if first_err.is_none() {
+                                first_err = Some(e);
+                            }
+                        }
+                    }
+                }
+            }
+            None => {
+                for &(i, id) in missing {
+                    match read_via_scratch(file.as_ref(), id) {
+                        Ok(data) => fetched.push((i, id, data)),
+                        Err(e) => {
+                            first_err = Some(e);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        (fetched, first_err)
+    }
+
+    /// Writes a page, write-through, refreshing any cached copy and dropping
+    /// its decoded form (see [`read_decoded`](Self::read_decoded)). As with
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
     /// success, keeping it equal to the file's physical write count.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> StorageResult<()> {
@@ -594,18 +755,19 @@ impl BufferPool {
         self.file_write().write(id, data)?;
         st.stats.writes += 1;
         if let Some(&f) = st.map.get(&id) {
-            st.frames[f]
+            let frame = st.frames[f]
                 .as_mut()
                 // analyze: allow(panic-path) — `map` only points at occupied frames
                 // (structural invariant of the pool state).
-                .expect("mapped frame must be occupied")
-                .data = PageBytes::from(data);
+                .expect("mapped frame must be occupied");
+            frame.data = PageBytes::from(data);
+            frame.decoded = None;
             st.policy.on_hit(f);
         }
         Ok(())
     }
 
-    /// Frees a page and drops any cached copy (clearing any pin).
+    /// Frees a page and drops any cached copy and decode (clearing any pin).
     pub fn free_page(&self, id: PageId) -> StorageResult<()> {
         let mut st = self.guard();
         if let Some(f) = st.map.remove(&id) {
@@ -701,14 +863,14 @@ impl BufferPool {
         self.file_write().reset_stats();
     }
 
-    /// Drops every cached page and pin (counters are kept).
+    /// Drops every cached page, decode and pin (counters are kept).
     pub fn clear(&self) {
         let mut st = self.guard();
         let capacity = st.capacity;
         st.reset_cache(capacity);
     }
 
-    /// Changes the frame capacity, dropping all cached pages.
+    /// Changes the frame capacity, dropping all cached pages and decodes.
     ///
     /// Experiments build trees with a roomy cache, then call this with the
     /// per-tree budget `B/2` (and [`reset_stats`](Self::reset_stats)) before
@@ -1043,6 +1205,148 @@ mod tests {
         let (b, io) = pool.stats_snapshot();
         assert_eq!(b.logical_reads, 0);
         assert_eq!(io.reads, 0, "no-op prefetch must not touch the file");
+    }
+
+    /// Decodes a page into its first byte; the tests below tell decodes
+    /// apart by that byte and count how often a decode actually ran.
+    fn first_byte(
+        calls: &std::cell::Cell<u32>,
+    ) -> impl Fn(PageId, &[u8]) -> StorageResult<u8> + '_ {
+        move |_, b| {
+            calls.set(calls.get() + 1);
+            Ok(b[0])
+        }
+    }
+
+    #[test]
+    fn decoded_slot_is_filled_once_and_shared() {
+        let pool = pool_with(4, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 2);
+        pool.reset_stats();
+        let calls = std::cell::Cell::new(0);
+        let a = pool.read_decoded(ids[1], first_byte(&calls)).unwrap();
+        let b = pool.read_decoded(ids[1], first_byte(&calls)).unwrap();
+        assert_eq!((*a, *b), (1, 1));
+        assert!(Arc::ptr_eq(&a, &b), "a resident decode is shared");
+        assert_eq!(calls.get(), 1, "decoded on the miss only");
+        // A page cached by a plain read is decoded on its first decoded hit.
+        pool.read_page(ids[0]).unwrap();
+        let c = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        let d = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        assert!(Arc::ptr_eq(&c, &d));
+        assert_eq!(calls.get(), 2);
+        // Accounting is read_page's: one logical read per call.
+        let s = pool.buffer_stats();
+        assert_eq!(s.logical_reads, 5);
+        assert_eq!((s.hits, s.misses), (3, 2));
+        assert_eq!(pool.io_stats().reads, 2);
+    }
+
+    #[test]
+    fn write_page_drops_the_decode() {
+        let pool = pool_with(2, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 1);
+        let calls = std::cell::Cell::new(0);
+        assert_eq!(*pool.read_decoded(ids[0], first_byte(&calls)).unwrap(), 0);
+        pool.write_page(ids[0], &[7u8; 64]).unwrap();
+        pool.reset_stats();
+        let after = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        assert_eq!(*after, 7, "the rewrite's decode, not the cached one");
+        assert_eq!(calls.get(), 2);
+        assert_eq!(pool.buffer_stats().hits, 1, "the bytes stayed resident");
+    }
+
+    #[test]
+    fn free_clear_and_set_capacity_drop_the_decode() {
+        let calls = std::cell::Cell::new(0);
+        // free_page: the page is gone, and a page reallocated under the same
+        // id decodes afresh.
+        let pool = pool_with(2, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 1);
+        let before = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        pool.free_page(ids[0]).unwrap();
+        assert!(pool.read_decoded(ids[0], first_byte(&calls)).is_err());
+        let id = pool.allocate().unwrap();
+        pool.write_page(id, &[5u8; 64]).unwrap();
+        let after = pool.read_decoded(id, first_byte(&calls)).unwrap();
+        assert_eq!((*before, *after), (0, 5));
+        // clear and set_capacity: the next read misses and decodes again.
+        for reset in [
+            (|p: &BufferPool| p.clear()) as fn(&BufferPool),
+            |p: &BufferPool| p.set_capacity(2),
+        ] {
+            let pool = pool_with(2, Box::new(LruPolicy::new()));
+            let ids = fill(&pool, 1);
+            let a = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+            reset(&pool);
+            pool.reset_stats();
+            let n = calls.get();
+            let b = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+            assert!(!Arc::ptr_eq(&a, &b), "the reset dropped the decode");
+            assert_eq!(calls.get(), n + 1);
+            assert_eq!(pool.buffer_stats().misses, 1);
+        }
+    }
+
+    #[test]
+    fn zero_capacity_pool_never_retains_a_decode() {
+        let pool = pool_with(0, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 1);
+        pool.reset_stats();
+        let calls = std::cell::Cell::new(0);
+        let a = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        let b = pool.read_decoded(ids[0], first_byte(&calls)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(calls.get(), 2, "every read decodes");
+        assert_eq!(Arc::strong_count(&a), 1, "the pool holds no reference");
+        let s = pool.buffer_stats();
+        assert_eq!((s.logical_reads, s.misses, s.hits), (2, 2, 0));
+    }
+
+    #[test]
+    fn decode_error_counts_the_read_and_installs_nothing() {
+        let pool = pool_with(2, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 1);
+        pool.reset_stats();
+        let corrupt = |id: PageId, _: &[u8]| -> StorageResult<u8> {
+            Err(crate::StorageError::Corrupt {
+                page: id,
+                stored: 0,
+                computed: 1,
+            })
+        };
+        for _ in 0..2 {
+            assert!(pool.read_decoded(ids[0], corrupt).is_err());
+        }
+        let s = pool.buffer_stats();
+        assert_eq!((s.logical_reads, s.misses, s.hits), (2, 1, 1));
+        let calls = std::cell::Cell::new(0);
+        assert_eq!(*pool.read_decoded(ids[0], first_byte(&calls)).unwrap(), 0);
+        assert_eq!(calls.get(), 1, "the failed decodes left the slot empty");
+    }
+
+    #[test]
+    fn get_many_decoded_matches_read_decoded() {
+        let pool = pool_with(4, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 3);
+        pool.read_page(ids[0]).unwrap(); // resident, no decode yet
+        let calls = std::cell::Cell::new(0);
+        let warm = pool.read_decoded(ids[1], first_byte(&calls)).unwrap();
+        pool.reset_stats();
+        let got = pool
+            .get_many_decoded(&[ids[0], ids[1], ids[2]], first_byte(&calls))
+            .unwrap();
+        assert_eq!(got.iter().map(|d| **d).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(Arc::ptr_eq(&got[1], &warm));
+        let s = pool.buffer_stats();
+        assert_eq!((s.logical_reads, s.hits, s.misses), (3, 2, 1));
+        // Both new decodes were installed: reading again decodes nothing.
+        let n = calls.get();
+        for (i, &id) in [ids[0], ids[2]].iter().enumerate() {
+            let again = pool.read_decoded(id, first_byte(&calls)).unwrap();
+            assert!(Arc::ptr_eq(&again, &got[i * 2]));
+        }
+        assert_eq!(calls.get(), n);
     }
 
     #[test]

@@ -96,6 +96,12 @@ cargo test --release -q -p cpq-live --test crash_recovery
 echo "==> bench_live --smoke (continuous K-CPQ delta path >=5x + throughput x readers)"
 ./target/release/bench_live --smoke --out /tmp/BENCH_live_smoke.json >/dev/null
 
+# The benchmark harness (its own workspace under kcpq-bench/, built into
+# .bench_build/): tiny seeded runs of every workload, each answer checked,
+# every listed metric measured, counts repeating per seed.
+echo "==> kcpq-bench --self-test (benchmark harness build + tiny checked runs)"
+python3 kcpq-bench/run.py --self-test
+
 if [ "${1:-}" = "--full" ]; then
     echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
     cargo test --release -p cpq-core --test parallel_stress -- --include-ignored
