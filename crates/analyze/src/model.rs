@@ -3,7 +3,7 @@
 //! orderings, call edges, panic-capable operations, and blocking calls.
 //!
 //! Facts are extracted by a single token-pattern walk over each function
-//! body (see [`scan_body`]), with *guard scopes* approximated
+//! body (see `scan_body`), with *guard scopes* approximated
 //! conservatively: a `let`-bound guard lives to the end of its enclosing
 //! block (truncated by an explicit `drop(binding)`), an unbound temporary
 //! to the end of its statement. This matches how rustc drops guards
@@ -95,6 +95,10 @@ pub struct CallSite {
     /// Whether the receiver is exactly `self` (`self.name(...)`): the
     /// only method-call shape resolvable to the caller's own impl.
     pub recv_self: bool,
+    /// Whether a non-method call is path-qualified (`Self::name(...)`,
+    /// `Type::name(...)`, `module::name(...)`). Only a qualified call can
+    /// name an associated function; a bare `name(...)` is a free function.
+    pub qualified: bool,
     /// Number of top-level arguments (0 for `()`), used to distinguish
     /// `handle.join()` from `path.join(seg)`.
     pub args: usize,
@@ -165,7 +169,7 @@ pub struct FnInfo {
     /// function acquires the lock its body takes.
     pub returns_guard: Option<GuardMode>,
     /// Direct lock acquisitions (helper-call acquisitions are appended by
-    /// [`Workspace::resolve_helper_locks`]).
+    /// `Workspace::resolve_helper_locks`).
     pub locks: Vec<LockSite>,
     /// Atomic accesses.
     pub atomics: Vec<AtomicSite>,
@@ -538,11 +542,12 @@ const UBIQUITOUS_METHODS: &[&str] = &[
 ///   same type) and only when that match is unique;
 /// - a method call on any *other* receiver (`st.tree.get_d2(...)`) resolves
 ///   only when the name denotes exactly one method workspace-wide *and* is
-///   not a [`UBIQUITOUS_METHODS`] name — a `clear` or `insert` on a foreign
+///   not a `UBIQUITOUS_METHODS` name — a `clear` or `insert` on a foreign
 ///   receiver is overwhelmingly a std-container call, and wiring it to the
 ///   one workspace method sharing its name fabricates call-graph cycles;
-/// - a free/path call (`Self::helper(...)`, `encode(...)`) resolves when
-///   the name is workspace-unique.
+/// - a path call (`Self::helper(...)`, `proto::encode(...)`) resolves when
+///   the name is workspace-unique; a bare call (`encode(...)`) when it is
+///   unique among free functions, since no method is callable bare.
 ///
 /// The resolved set never includes the caller itself: recursion is
 /// invisible to the analysis rather than misread as re-acquisition.
@@ -582,7 +587,11 @@ pub fn resolve_call(ws: &Workspace, caller: usize, call: &CallSite) -> Vec<usize
             Vec::new()
         };
     }
-    let frees: Vec<usize> = cands.iter().copied().filter(|&c| c != caller).collect();
+    let frees: Vec<usize> = cands
+        .iter()
+        .copied()
+        .filter(|&c| c != caller && (call.qualified || ws.functions[c].impl_type.is_none()))
+        .collect();
     if frees.len() == 1 {
         frees
     } else {
@@ -961,11 +970,13 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                 let chain = receiver_chain(toks, i);
                 chain.len() == 1 && chain[0] == "self"
             };
+            let qualified = !is_method && i >= 2 && toks[i - 1].is_punct(':');
             info.calls.push(CallSite {
                 name: name.to_string(),
                 tok: i,
                 method: is_method,
                 recv_self,
+                qualified,
                 args,
                 line: t.line,
                 col: t.col,

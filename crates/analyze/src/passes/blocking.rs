@@ -160,6 +160,34 @@ impl Wal {
     }
 
     #[test]
+    fn bare_call_resolves_past_a_same_named_method() {
+        // `execute(..)` can only be the free function: the method of the
+        // same name is not callable bare, so it must not make the call
+        // ambiguous (and the blocking callee invisible).
+        let src = "\
+impl Watch {
+    fn refresh(&self, d: Duration) {
+        let st = self.state.lock().expect(\"poisoned\");
+        execute(d);
+        st.touch();
+    }
+}
+impl Service {
+    fn execute(&self, d: Duration) {
+        note(d);
+    }
+}
+fn execute(d: Duration) {
+    std::thread::sleep(d);
+}
+";
+        let out = run(&[("crates/live/src/watch.rs", src)]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("execute"));
+        assert!(out[0].message.contains("sleep"));
+    }
+
+    #[test]
     fn sleep_and_recv_under_guard_are_flagged() {
         let src = "\
 impl Q {

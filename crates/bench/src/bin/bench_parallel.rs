@@ -3,7 +3,8 @@
 //! The executor targets I/O-bound queries: page reads carry real latency
 //! (disk, network storage), and speculative workers overlap many reads
 //! where the sequential engine waits on each in turn. This harness
-//! reproduces that regime with a [`FailingPageFile`] injecting a fixed
+//! reproduces that regime with a
+//! [`FailingPageFile`](cpq_storage::FailingPageFile) injecting a fixed
 //! per-read sleep under unbuffered pools (the paper's zero-buffer
 //! configuration), then sweeps threads × K × dataset:
 //!

@@ -35,11 +35,9 @@ use cpq_bench::{
     build_sharded_disk, build_tree, configure_buffers, configure_sharded_buffers, real_dataset,
     Args,
 };
-use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig, QueryOutcome};
+use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig, Query, QueryOutcome};
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset};
-use cpq_shard::{
-    k_closest_pairs_sharded, self_closest_pairs_sharded, ShardConfig, ShardRun, ShardedTree,
-};
+use cpq_shard::{execute_sharded, ShardConfig, ShardRun, ShardedTree};
 use cpq_storage::SchedConfig;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -164,6 +162,11 @@ fn main() {
                 }
                 .expect("unsharded query");
                 let baseline_ns = start.elapsed().as_nanos() as u64;
+                let query = if kind == "cross" {
+                    Query::cross(k, Algorithm::Heap, cfg)
+                } else {
+                    Query::self_join(k, Algorithm::Heap, cfg)
+                };
 
                 let mut cells: Vec<Cell> = Vec::new();
                 for replica in &replicas {
@@ -177,27 +180,8 @@ fn main() {
                         query_id,
                     };
                     let start = Instant::now();
-                    let run = if kind == "cross" {
-                        k_closest_pairs_sharded(
-                            &replica.p,
-                            &replica.q,
-                            k,
-                            Algorithm::Heap,
-                            &cfg,
-                            &shard_cfg,
-                            None,
-                        )
-                    } else {
-                        self_closest_pairs_sharded(
-                            &replica.p,
-                            k,
-                            Algorithm::Heap,
-                            &cfg,
-                            &shard_cfg,
-                            None,
-                        )
-                    }
-                    .expect("sharded query");
+                    let run = execute_sharded(&replica.p, &replica.q, &query, &shard_cfg, None)
+                        .expect("sharded query");
                     let wall_ns = start.elapsed().as_nanos() as u64;
                     let label = format!("{name} {kind} k={k} S={}", replica.shards_requested);
                     gate(&unsharded, &run, &label);

@@ -1,16 +1,16 @@
-//! Public entry points for the non-incremental algorithms.
+//! The paper's algorithms and the fixed-shape entry points over them.
+//!
+//! Each function here is a one-expression forward to [`execute`]: it
+//! builds the [`Query`] its name describes and runs it.
 
-use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::config::CpqConfig;
-use crate::engine::{Ctx, ScatterCtx};
-use crate::heap_alg::heap_run;
-use crate::recursive::{exhaustive, naive, simple, sorted};
+use crate::query::{execute, ExecCtx, Query};
 use crate::spec::Constraint;
-use crate::types::{CpqStats, QueryOutcome, QueryRun};
+use crate::types::{QueryOutcome, QueryRun};
 use cpq_geo::SpatialObject;
-use cpq_obs::{NullProbe, Probe, ProbeSide};
-use cpq_rtree::{RTree, RTreeError, RTreeResult};
+use cpq_obs::{NullProbe, Probe};
+use cpq_rtree::{RTree, RTreeResult};
 
 /// The five algorithms of the paper (Sections 3.1–3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,18 +66,13 @@ pub fn k_closest_pairs<const D: usize, O: SpatialObject<D>>(
     algorithm: Algorithm,
     config: &CpqConfig,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
+    execute(
         tree_p,
         tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
+        &Query::cross(k, algorithm, *config),
+        ExecCtx::new(&mut NullProbe),
+    )
+    .map(|run| run.outcome)
 }
 
 /// [`k_closest_pairs`] under a result-pair [`Constraint`]: range-restricted
@@ -98,23 +93,17 @@ pub fn k_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
     config: &CpqConfig,
     constraint: Constraint<D>,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
+    execute(
         tree_p,
         tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        constraint,
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
+        &Query::cross(k, algorithm, *config).with_constraint(constraint),
+        ExecCtx::new(&mut NullProbe),
+    )
+    .map(|run| run.outcome)
 }
 
 /// [`k_closest_pairs_constrained`] with a [`CancelToken`] and a
-/// caller-supplied [`Probe`] — the constrained instrumented entry point the
-/// service worker pool uses.
+/// caller-supplied [`Probe`] (semantics as in [`ExecCtx`]).
 #[allow(clippy::too_many_arguments)]
 pub fn k_closest_pairs_constrained_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
@@ -126,58 +115,24 @@ pub fn k_closest_pairs_constrained_instrumented<const D: usize, O: SpatialObject
     cancel: &CancelToken,
     probe: &mut P,
 ) -> RTreeResult<QueryRun<D, O>> {
-    run(
+    execute(
         tree_p,
         tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        constraint,
-        Some(cancel),
-        probe,
+        &Query::cross(k, algorithm, *config).with_constraint(constraint),
+        ExecCtx::new(probe).with_cancel(cancel),
     )
 }
 
-/// [`k_closest_pairs`] under a cooperative [`CancelToken`], the form the
-/// `cpq-service` worker pool uses to enforce per-request deadlines.
-///
-/// The token is polled once per node-pair visit. When it trips, the run
-/// stops within one node visit and returns the K-heap's contents so far
-/// with [`QueryRun::completed`]` = false` — a best-effort partial answer,
-/// never an error. With a token that never trips, the result is identical
-/// (pairs and work counters alike) to [`k_closest_pairs`].
-pub fn k_closest_pairs_cancellable<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        Some(cancel),
-        &mut NullProbe,
-    )
-}
-
-/// [`k_closest_pairs_cancellable`] with a caller-supplied [`Probe`]: the
-/// instrumented entry point.
+/// [`k_closest_pairs`] under a cooperative [`CancelToken`] with a
+/// caller-supplied [`Probe`]: the instrumented entry point.
 ///
 /// The probe receives per-node-access, per-leaf-scan, and per-phase
 /// callbacks during the run (see [`cpq_obs::Probe`]); pass a
 /// [`cpq_obs::ProfileProbe`] to accumulate a full
 /// [`cpq_obs::QueryProfile`]. Results and work counters are identical to
 /// the uninstrumented entry points — instrumentation observes, it never
-/// steers.
-#[allow(clippy::too_many_arguments)]
+/// steers. A tripped token returns a partial answer with
+/// [`QueryRun::completed`]` = false` (see [`ExecCtx`]).
 pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
@@ -187,204 +142,12 @@ pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Prob
     cancel: &CancelToken,
     probe: &mut P,
 ) -> RTreeResult<QueryRun<D, O>> {
-    run(
+    execute(
         tree_p,
         tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        Some(cancel),
-        probe,
+        &Query::cross(k, algorithm, *config),
+        ExecCtx::new(probe).with_cancel(cancel),
     )
-}
-
-/// [`k_closest_pairs_cancellable`] as **one scatter-gather subquery** of a
-/// sharded query (the form the `cpq-shard` coordinator fans out).
-///
-/// `shared` is the cross-shard global bound: it joins the engine's
-/// effective threshold `T` as an extra pruning term, and this subquery
-/// publishes its own live `T` back whenever it tightens — the exact
-/// protocol the parallel executor uses across the threads of one query,
-/// lifted to shard granularity. Pruning against it is strict (`> T`), so
-/// with a bound that stays at `+∞` the result is identical to
-/// [`k_closest_pairs_cancellable`]; with a live bound, only pairs that
-/// cannot belong to the *global* top-K are dropped.
-///
-/// `orient_by_oid` canonicalizes every retained pair to `p.oid < q.oid`
-/// at construction — required by the off-diagonal subqueries of a sharded
-/// self-join, where the global canonical order does not know which shard a
-/// point came from.
-///
-/// Scatter subqueries always run the plain sequential engine:
-/// `config.parallelism` is ignored (the coordinator's worker pool is the
-/// parallelism, and the speculative workers' task-local heaps do not
-/// apply the orientation rule).
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_scatter<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient_by_oid: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        &cfg,
-        false,
-        Constraint::none(),
-        cancel,
-        shared,
-        orient_by_oid,
-    )
-}
-
-/// [`k_closest_pairs_scatter`] under a result-pair [`Constraint`] — the
-/// subquery form of a *constrained* sharded query. The coordinator passes
-/// the query's constraint to every shard-pair subquery unchanged; merged
-/// results stay bit-identical to the unsharded constrained run.
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_scatter_constrained<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient_by_oid: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        &cfg,
-        false,
-        constraint,
-        cancel,
-        shared,
-        orient_by_oid,
-    )
-}
-
-/// [`self_closest_pairs_cancellable`] as one scatter-gather subquery: the
-/// diagonal (`shard × same shard`) case of a sharded self-join. Results
-/// already carry `p.oid < q.oid` (the self-join filter enforces it), so no
-/// orientation flag is needed. Semantics of `shared` as in
-/// [`k_closest_pairs_scatter`].
-pub fn self_closest_pairs_scatter<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree,
-        tree,
-        k,
-        algorithm,
-        &cfg,
-        true,
-        Constraint::none(),
-        cancel,
-        shared,
-        false,
-    )
-}
-
-/// [`self_closest_pairs_scatter`] under a result-pair [`Constraint`]. The
-/// constraint must be symmetric (see [`self_closest_pairs_constrained`]).
-#[allow(clippy::too_many_arguments)]
-pub fn self_closest_pairs_scatter_constrained<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-) -> RTreeResult<QueryRun<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree, tree, k, algorithm, &cfg, true, constraint, cancel, shared, false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scatter<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
-    if k == 0 || tree_p.is_empty() || tree_q.is_empty() {
-        return Ok(QueryRun {
-            outcome: QueryOutcome {
-                pairs: Vec::new(),
-                stats: CpqStats::default(),
-            },
-            completed: true,
-        });
-    }
-    run_leader(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        self_join,
-        constraint,
-        Some(cancel),
-        &mut NullProbe,
-        None,
-        Some(ScatterCtx {
-            bound: shared,
-            orient,
-        }),
-        misses_before,
-    )
-}
-
-/// The 1-CP convenience wrapper: the single closest pair.
-pub fn closest_pair<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
-    k_closest_pairs(tree_p, tree_q, 1, algorithm, config)
 }
 
 /// Self-CPQ (Section 6, future work): the `K` closest pairs **within** one
@@ -396,28 +159,24 @@ pub fn self_closest_pairs<const D: usize, O: SpatialObject<D>>(
     algorithm: Algorithm,
     config: &CpqConfig,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
+    execute(
         tree,
         tree,
-        k,
-        algorithm,
-        config,
-        true,
-        Constraint::none(),
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
+        &Query::self_join(k, algorithm, *config),
+        ExecCtx::new(&mut NullProbe),
+    )
+    .map(|run| run.outcome)
 }
 
 /// [`self_closest_pairs`] under a result-pair [`Constraint`]: self-RCP
 /// (both points of each pair inside one window) and/or colored self-join.
 ///
-/// Self-join constraints must be **symmetric** (`window_p == window_q`):
-/// an unordered pair has no stable side assignment, so per-side windows
-/// would make the result depend on the internal `p.oid < q.oid`
-/// orientation. Use [`Constraint::window`] (one rectangle for both sides)
-/// or [`Constraint::colored`].
+/// Self-join constraints must be **symmetric** (`window_p == window_q`);
+/// an asymmetric one fails with [`RTreeError::InvalidQuery`]
+/// (see [`Query::validate`]). Use [`Constraint::window`] (one rectangle
+/// for both sides) or [`Constraint::colored`].
+///
+/// [`RTreeError::InvalidQuery`]: cpq_rtree::RTreeError::InvalidQuery
 pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
     tree: &RTree<D, O>,
     k: usize,
@@ -425,27 +184,17 @@ pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
     config: &CpqConfig,
     constraint: Constraint<D>,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    Ok(run(
+    execute(
         tree,
         tree,
-        k,
-        algorithm,
-        config,
-        true,
-        constraint,
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
+        &Query::self_join(k, algorithm, *config).with_constraint(constraint),
+        ExecCtx::new(&mut NullProbe),
+    )
+    .map(|run| run.outcome)
 }
 
 /// [`self_closest_pairs_constrained`] with a [`CancelToken`] and a
-/// caller-supplied [`Probe`] — the constrained instrumented self-join
-/// entry point.
+/// caller-supplied [`Probe`] (semantics as in [`ExecCtx`]).
 pub fn self_closest_pairs_constrained_instrumented<
     const D: usize,
     O: SpatialObject<D>,
@@ -459,47 +208,17 @@ pub fn self_closest_pairs_constrained_instrumented<
     cancel: &CancelToken,
     probe: &mut P,
 ) -> RTreeResult<QueryRun<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    run(
+    execute(
         tree,
         tree,
-        k,
-        algorithm,
-        config,
-        true,
-        constraint,
-        Some(cancel),
-        probe,
+        &Query::self_join(k, algorithm, *config).with_constraint(constraint),
+        ExecCtx::new(probe).with_cancel(cancel),
     )
 }
 
-/// [`self_closest_pairs`] under a cooperative [`CancelToken`]; semantics as
-/// in [`k_closest_pairs_cancellable`].
-pub fn self_closest_pairs_cancellable<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree,
-        tree,
-        k,
-        algorithm,
-        config,
-        true,
-        Constraint::none(),
-        Some(cancel),
-        &mut NullProbe,
-    )
-}
-
-/// [`self_closest_pairs_cancellable`] with a caller-supplied [`Probe`];
-/// semantics as in [`k_closest_pairs_instrumented`].
+/// [`self_closest_pairs`] under a cooperative [`CancelToken`] with a
+/// caller-supplied [`Probe`]; semantics as in
+/// [`k_closest_pairs_instrumented`].
 pub fn self_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree: &RTree<D, O>,
     k: usize,
@@ -508,138 +227,10 @@ pub fn self_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: P
     cancel: &CancelToken,
     probe: &mut P,
 ) -> RTreeResult<QueryRun<D, O>> {
-    run(
+    execute(
         tree,
         tree,
-        k,
-        algorithm,
-        config,
-        true,
-        Constraint::none(),
-        Some(cancel),
-        probe,
+        &Query::self_join(k, algorithm, *config),
+        ExecCtx::new(probe).with_cancel(cancel),
     )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-    probe: &mut P,
-) -> RTreeResult<QueryRun<D, O>> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
-    if k == 0 || tree_p.is_empty() || tree_q.is_empty() {
-        return Ok(QueryRun {
-            outcome: QueryOutcome {
-                pairs: Vec::new(),
-                stats: CpqStats::default(),
-            },
-            completed: true,
-        });
-    }
-    if config.parallelism > 1 {
-        // Intra-query parallel mode: same driver control flow (run by
-        // `run_leader` below through `parallel::run_parallel`), plus
-        // speculative workers. Results are bit-identical (see `parallel`).
-        return crate::parallel::run_parallel(
-            tree_p,
-            tree_q,
-            k,
-            algorithm,
-            config,
-            self_join,
-            constraint,
-            cancel,
-            probe,
-            misses_before,
-        );
-    }
-    run_leader(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        self_join,
-        constraint,
-        cancel,
-        probe,
-        None,
-        None,
-        misses_before,
-    )
-}
-
-/// The driver: the sequential control flow shared verbatim by sequential
-/// runs (`par = None`) and the parallel executor's leader thread
-/// (`par = Some`), which is what guarantees the two modes traverse, prune,
-/// and retain identically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_leader<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-    probe: &mut P,
-    par: Option<&crate::parallel::SpecRuntime<D, O>>,
-    scatter: Option<ScatterCtx<'_>>,
-    misses_before: (u64, u64),
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut ctx = Ctx::new(
-        tree_p, tree_q, k, config, self_join, constraint, cancel, probe, par, scatter,
-    );
-
-    // A token that is already tripped (deadline expired while queued) stops
-    // the run before it pays for the two root reads.
-    if ctx.check_cancel().is_err() {
-        return Ok(QueryRun {
-            outcome: ctx.finish(misses_before),
-            completed: false,
-        });
-    }
-
-    // CP1: start from the two roots (one page access each; for a self-join
-    // the second read hits the same pool).
-    let (page_p, page_q) = (tree_p.root(), tree_q.root());
-    let root_p = ctx.read_side(ProbeSide::P, page_p)?;
-    let root_q = ctx.read_side(ProbeSide::Q, page_q)?;
-    // analyze: allow(panic-path) — empty trees returned early above, so
-    // both roots have MBRs.
-    ctx.root_area_p = root_p.mbr().expect("non-empty root").area();
-    // analyze: allow(panic-path) — same non-empty-root invariant as above.
-    ctx.root_area_q = root_q.mbr().expect("non-empty root").area();
-    if let Some(rt) = par {
-        // Seed speculation with the root pair so the workers start
-        // descending immediately.
-        rt.push_spec(cpq_geo::Dist2::ZERO, page_p, page_q);
-    }
-
-    let completed = match match algorithm {
-        Algorithm::Naive => naive(&mut ctx, &root_p, &root_q, page_p, page_q),
-        Algorithm::Exhaustive => exhaustive(&mut ctx, &root_p, &root_q, page_p, page_q),
-        Algorithm::Simple => simple(&mut ctx, &root_p, &root_q, page_p, page_q),
-        Algorithm::SortedDistances => sorted(&mut ctx, &root_p, &root_q, page_p, page_q),
-        Algorithm::Heap => heap_run(&mut ctx, &root_p, &root_q),
-    } {
-        Ok(()) => true,
-        Err(RTreeError::Cancelled) => false,
-        Err(e) => return Err(e),
-    };
-    Ok(QueryRun {
-        outcome: ctx.finish(misses_before),
-        completed,
-    })
 }

@@ -8,8 +8,7 @@
 //! fine enough that a cancelled query stops within one node visit.
 //!
 //! Cancellation is cooperative and lossless: an interrupted run returns the
-//! best pairs found so far (see
-//! [`k_closest_pairs_cancellable`](crate::k_closest_pairs_cancellable)),
+//! best pairs found so far (see [`ExecCtx`](crate::ExecCtx)),
 //! never a panic or a poisoned structure.
 
 use cpq_check::sync::atomic::{AtomicBool, Ordering};

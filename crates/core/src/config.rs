@@ -81,7 +81,7 @@ impl LeafScan {
 }
 
 /// Full configuration of a closest-pair query run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpqConfig {
     /// Tie-break strategy among equal-MINMINDIST candidates (STD and HEAP).
     /// The paper's winner, T1, is **not** the default here — [`TieStrategy::None`]

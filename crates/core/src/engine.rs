@@ -7,6 +7,7 @@ use crate::cancel::CancelToken;
 use crate::config::{CpqConfig, HeightStrategy, KPruning, LeafScan};
 use crate::kheap::KHeap;
 use crate::parallel::{SpecRuntime, TaskOut};
+use crate::query::{ExecCtx, Query};
 use crate::spec::Constraint;
 use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
@@ -179,35 +180,32 @@ pub(crate) type RecurseFn<'a, const D: usize, O, P> = fn(
 ) -> RTreeResult<()>;
 
 impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
-    #[allow(clippy::too_many_arguments)]
+    /// The context of one run of `query`; `ctx` supplies the cancel token,
+    /// probe and scatter hookup, `par` the speculation runtime in parallel
+    /// mode.
     pub(crate) fn new(
         tp: &'a RTree<D, O>,
         tq: &'a RTree<D, O>,
-        k: usize,
-        cfg: &'a CpqConfig,
-        self_join: bool,
-        constraint: Constraint<D>,
-        cancel: Option<&'a CancelToken>,
-        probe: &'a mut P,
+        query: &'a Query<D>,
+        ctx: ExecCtx<'a, P>,
         par: Option<&'a SpecRuntime<D, O>>,
-        scatter: Option<ScatterCtx<'a>>,
     ) -> Self {
         Ctx {
             tp,
             tq,
-            cfg,
-            k,
-            kheap: KHeap::new(k.max(1)),
+            cfg: &query.config,
+            k: query.k,
+            kheap: KHeap::new(query.k.max(1)),
             bound: Dist2::INFINITY,
             stats: CpqStats::default(),
             root_area_p: 0.0,
             root_area_q: 0.0,
-            self_join,
-            constraint,
-            cancel,
-            probe,
+            self_join: query.is_self_join(),
+            constraint: query.constraint,
+            cancel: ctx.cancel,
+            probe: ctx.probe,
             par,
-            scatter,
+            scatter: ctx.scatter,
             ledger_p: 0,
             ledger_q: 0,
             sides_p: Vec::new(),

@@ -59,7 +59,7 @@ impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
     ///
     /// `k` comes from requests and is only an upper bound on how many pairs
     /// exist, so storage is pre-allocated for at most
-    /// [`PREALLOC_LIMIT`] pairs and grows with what is actually retained: a
+    /// `PREALLOC_LIMIT` pairs and grows with what is actually retained: a
     /// `k` of `10^11` or `usize::MAX` costs no more than the pairs found.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "K must be at least 1");

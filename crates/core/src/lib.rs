@@ -9,8 +9,9 @@
 //! * the paper's **five algorithms** — [`Algorithm::Naive`],
 //!   [`Algorithm::Exhaustive`] (EXH), [`Algorithm::Simple`] (SIM),
 //!   [`Algorithm::SortedDistances`] (STD), and the iterative
-//!   [`Algorithm::Heap`] (HEAP) — via [`k_closest_pairs`] /
-//!   [`closest_pair`];
+//!   [`Algorithm::Heap`] (HEAP) — one [`Query`] value run by one
+//!   executor, [`execute`], with [`k_closest_pairs`] and its siblings as
+//!   fixed-shape forwards;
 //! * the 1-CP **special case** (`K = 1`) with extra MINMAXDIST pruning, and
 //!   the MAXMAXDIST cardinality bound for `K > 1` ([`KPruning`]);
 //! * **tie-break strategies** T1–T5 ([`TieStrategy`], Section 3.6);
@@ -45,13 +46,20 @@
 //! let out = k_closest_pairs(&tp, &tq, 5, Algorithm::Heap, &CpqConfig::paper()).unwrap();
 //! assert_eq!(out.pairs.len(), 5);
 //! assert_eq!(out.pairs[0].distance(), 3.0);
+//!
+//! // The same query as a value, run under a cancel token and a profile.
+//! use cpq_core::{execute, CancelToken, ExecCtx, ProfileProbe, Query};
+//! let query = Query::cross(5, Algorithm::Heap, CpqConfig::paper());
+//! let (token, mut probe) = (CancelToken::new(), ProfileProbe::new());
+//! let run = execute(&tp, &tq, &query, ExecCtx::new(&mut probe).with_cancel(&token)).unwrap();
+//! assert!(run.completed);
+//! assert_eq!(run.outcome.pairs, out.pairs);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod api;
-pub mod batch;
 mod bound;
 pub mod brute;
 mod cancel;
@@ -64,6 +72,7 @@ mod kheap;
 pub mod metric_cpq;
 pub mod multiway;
 mod parallel;
+mod query;
 mod recursive;
 mod semi;
 mod sorting;
@@ -72,12 +81,9 @@ mod ties;
 mod types;
 
 pub use api::{
-    closest_pair, k_closest_pairs, k_closest_pairs_cancellable, k_closest_pairs_constrained,
-    k_closest_pairs_constrained_instrumented, k_closest_pairs_instrumented,
-    k_closest_pairs_scatter, k_closest_pairs_scatter_constrained, self_closest_pairs,
-    self_closest_pairs_cancellable, self_closest_pairs_constrained,
-    self_closest_pairs_constrained_instrumented, self_closest_pairs_instrumented,
-    self_closest_pairs_scatter, self_closest_pairs_scatter_constrained, Algorithm,
+    k_closest_pairs, k_closest_pairs_constrained, k_closest_pairs_constrained_instrumented,
+    k_closest_pairs_instrumented, self_closest_pairs, self_closest_pairs_constrained,
+    self_closest_pairs_constrained_instrumented, self_closest_pairs_instrumented, Algorithm,
 };
 pub use bound::SharedBound;
 pub use cancel::CancelToken;
@@ -90,8 +96,9 @@ pub use incremental::{
 pub use kheap::KHeap;
 pub use metric_cpq::{k_closest_pairs_metric, MetricOutcome, MetricPair};
 pub use multiway::{k_closest_tuples, MultiwayOutcome, TupleMetric, TupleResult};
+pub use query::{execute, ExecCtx, Query, QueryKind};
 pub use semi::semi_closest_pairs;
 pub use sorting::SortAlgorithm;
-pub use spec::{Constraint, QuerySpec};
+pub use spec::Constraint;
 pub use ties::TieStrategy;
 pub use types::{pair_cmp, CpqStats, PairResult, QueryOutcome, QueryRun};

@@ -46,15 +46,13 @@
 //! `Release`/`Acquire` so a parked worker that observes it also observes
 //! the final queue state.
 
-use crate::api::run_leader;
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
-use crate::config::CpqConfig;
 use crate::engine::{descend_sides, spec_page, Cand};
 use crate::kheap::KHeap;
+use crate::query::{run_leader, ExecCtx, Query};
 use crate::spec::Constraint;
 use crate::types::{PairResult, QueryRun};
-use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Condvar, Mutex};
 use cpq_geo::{min_min_dist2, Dist2, SpatialObject};
@@ -170,14 +168,7 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
 }
 
 impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
-    fn new(
-        workers: usize,
-        k: usize,
-        self_join: bool,
-        constraint: Constraint<D>,
-        height: crate::HeightStrategy,
-        yield_seed: Option<u64>,
-    ) -> Self {
+    fn new(workers: usize, query: &Query<D>) -> Self {
         SpecRuntime {
             shards: (0..workers.max(1))
                 .map(|_| Mutex::new(BinaryHeap::new()))
@@ -193,11 +184,11 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
             idle: Mutex::new(()),
             wake: Condvar::new(),
             push_cursor: AtomicU64::new(0),
-            k: k.max(1),
-            self_join,
-            constraint,
-            height,
-            yield_seed,
+            k: query.k.max(1),
+            self_join: query.is_self_join(),
+            constraint: query.constraint,
+            height: query.config.height,
+            yield_seed: query.config.parallel_yield_seed,
             tasks_speculated: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -610,28 +601,16 @@ fn gen_cands_full<const D: usize, O: SpatialObject<D>>(
 /// Runs one query in parallel mode: spawns the workers, runs the unchanged
 /// sequential driver against the speculation runtime, tears everything
 /// down, and surfaces any worker-observed error.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-    probe: &mut P,
+    query: &Query<D>,
+    ctx: ExecCtx<'_, P>,
     misses_before: (u64, u64),
 ) -> RTreeResult<QueryRun<D, O>> {
-    let workers = config.parallelism.saturating_sub(1);
-    let runtime: SpecRuntime<D, O> = SpecRuntime::new(
-        workers,
-        k,
-        self_join,
-        constraint,
-        config.height,
-        config.parallel_yield_seed,
-    );
+    let ExecCtx { cancel, probe, .. } = ctx;
+    let workers = query.config.parallelism.saturating_sub(1);
+    let runtime: SpecRuntime<D, O> = SpecRuntime::new(workers, query);
 
     let (leader, worker_stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -643,15 +622,13 @@ pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
         let leader = run_leader(
             tree_p,
             tree_q,
-            k,
-            algorithm,
-            config,
-            self_join,
-            constraint,
-            cancel,
-            probe,
+            query,
+            ExecCtx {
+                cancel,
+                probe: &mut *probe,
+                scatter: None,
+            },
             Some(&runtime),
-            None,
             misses_before,
         );
         runtime.shutdown();
@@ -713,11 +690,7 @@ mod model_tests {
     fn runtime(workers: usize) -> Arc<Rt> {
         Arc::new(SpecRuntime::new(
             workers,
-            1,
-            false,
-            Constraint::none(),
-            crate::HeightStrategy::default(),
-            None,
+            &Query::cross(1, crate::Algorithm::Heap, crate::CpqConfig::default()),
         ))
     }
 

@@ -1,5 +1,4 @@
-//! Query constraints: range-restricted (windowed) and colored K-CPQ, plus
-//! the [`QuerySpec`] description type the service planner consumes.
+//! Query constraints: range-restricted (windowed) and colored K-CPQ.
 //!
 //! A [`Constraint`] narrows which point pairs qualify as results:
 //!
@@ -133,45 +132,6 @@ impl<const D: usize> Constraint<D> {
         self.admits_p(mbr_p)
             && self.admits_q(mbr_q)
             && (!self.colored || color_of(oid_p) != color_of(oid_q))
-    }
-}
-
-/// A declarative description of one K-CPQ: what is asked, not how to run
-/// it. The service planner maps a `QuerySpec` (plus tree statistics and the
-/// cost model) to concrete execution knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuerySpec<const D: usize> {
-    /// Number of closest pairs requested.
-    pub k: usize,
-    /// Self-join (`P ≡ Q`, unordered pairs) vs. cross-tree query.
-    pub self_join: bool,
-    /// The result-pair constraint (may be inactive).
-    pub constraint: Constraint<D>,
-}
-
-impl<const D: usize> QuerySpec<D> {
-    /// An unconstrained cross-tree K-CPQ.
-    pub fn cross(k: usize) -> Self {
-        QuerySpec {
-            k,
-            self_join: false,
-            constraint: Constraint::none(),
-        }
-    }
-
-    /// An unconstrained self-join K-CPQ.
-    pub fn self_join(k: usize) -> Self {
-        QuerySpec {
-            k,
-            self_join: true,
-            constraint: Constraint::none(),
-        }
-    }
-
-    /// This spec with the given constraint.
-    pub fn with_constraint(mut self, constraint: Constraint<D>) -> Self {
-        self.constraint = constraint;
-        self
     }
 }
 

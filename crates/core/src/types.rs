@@ -115,8 +115,8 @@ impl<const D: usize, O: SpatialObject<D>> QueryOutcome<D, O> {
     }
 }
 
-/// Outcome of a cancellable query run (see
-/// [`k_closest_pairs_cancellable`](crate::k_closest_pairs_cancellable)).
+/// Outcome of one [`execute`](crate::execute) run, which may have been
+/// cancelled (see [`ExecCtx::with_cancel`](crate::ExecCtx::with_cancel)).
 #[derive(Debug, Clone)]
 pub struct QueryRun<const D: usize, O: SpatialObject<D> = Point<D>> {
     /// The result pairs and work counters. When the run was interrupted,

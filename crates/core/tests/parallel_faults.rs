@@ -11,7 +11,8 @@
 use std::time::Duration;
 
 use cpq_core::{
-    k_closest_pairs, k_closest_pairs_cancellable, Algorithm, CancelToken, CpqConfig, QueryOutcome,
+    execute, k_closest_pairs, Algorithm, CancelToken, CpqConfig, ExecCtx, NullProbe, Query,
+    QueryOutcome,
 };
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
@@ -144,7 +145,12 @@ fn fault_racing_deadline_never_deadlocks() {
         control.slow_reads(Duration::from_micros(150));
         control.fail_read(20 + trial * 7);
         let token = CancelToken::expiring_in(Duration::from_millis(8 + trial));
-        match k_closest_pairs_cancellable(&tp, &tq, 25, Algorithm::Heap, &cfg, &token) {
+        match execute(
+            &tp,
+            &tq,
+            &Query::cross(25, Algorithm::Heap, cfg),
+            ExecCtx::new(&mut NullProbe).with_cancel(&token),
+        ) {
             Ok(run) => assert!(!run.completed, "trial {trial}: deadline won, partial run"),
             Err(e) => assert!(
                 matches!(e, RTreeError::Storage(_)),

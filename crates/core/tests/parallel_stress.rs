@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpq_core::{
-    k_closest_pairs, k_closest_pairs_cancellable, pair_cmp, self_closest_pairs, Algorithm,
-    CancelToken, CpqConfig, QueryOutcome,
+    execute, k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CancelToken, CpqConfig,
+    ExecCtx, NullProbe, Query, QueryOutcome,
 };
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
@@ -105,7 +105,13 @@ fn pre_cancelled_token_stops_before_work_and_leaves_no_poison() {
 
     let token = CancelToken::new();
     token.cancel();
-    let run = k_closest_pairs_cancellable(&tp, &tq, 10, Algorithm::Heap, &cfg, &token).unwrap();
+    let run = execute(
+        &tp,
+        &tq,
+        &Query::cross(10, Algorithm::Heap, cfg),
+        ExecCtx::new(&mut NullProbe).with_cancel(&token),
+    )
+    .unwrap();
     assert!(!run.completed, "pre-tripped token must abort the run");
     assert!(
         run.outcome.pairs.is_empty(),
@@ -116,7 +122,13 @@ fn pre_cancelled_token_stops_before_work_and_leaves_no_poison() {
     // sequential exactly.
     let seq = k_closest_pairs(&tp, &tq, 10, Algorithm::Heap, &CpqConfig::paper()).unwrap();
     let fresh = CancelToken::new();
-    let rerun = k_closest_pairs_cancellable(&tp, &tq, 10, Algorithm::Heap, &cfg, &fresh).unwrap();
+    let rerun = execute(
+        &tp,
+        &tq,
+        &Query::cross(10, Algorithm::Heap, cfg),
+        ExecCtx::new(&mut NullProbe).with_cancel(&fresh),
+    )
+    .unwrap();
     assert!(rerun.completed);
     assert_same(&seq, &rerun.outcome, "rerun after pre-cancel");
 }
@@ -137,7 +149,13 @@ fn deadline_mid_run_returns_sorted_partial_without_deadlock() {
     cfg.parallel_yield_seed = Some(7);
 
     let token = CancelToken::expiring_in(Duration::from_millis(25));
-    let run = k_closest_pairs_cancellable(&tp, &tq, 50, Algorithm::Heap, &cfg, &token).unwrap();
+    let run = execute(
+        &tp,
+        &tq,
+        &Query::cross(50, Algorithm::Heap, cfg),
+        ExecCtx::new(&mut NullProbe).with_cancel(&token),
+    )
+    .unwrap();
     assert!(
         !run.completed,
         "a 25ms budget cannot finish 6k x 6k over 600us page reads"
@@ -182,7 +200,13 @@ fn cancel_during_steal_from_another_thread() {
             std::thread::sleep(Duration::from_millis(15));
             killer.cancel();
         });
-        let run = k_closest_pairs_cancellable(&tp, &tq, 50, Algorithm::Heap, &cfg, &token).unwrap();
+        let run = execute(
+            &tp,
+            &tq,
+            &Query::cross(50, Algorithm::Heap, cfg),
+            ExecCtx::new(&mut NullProbe).with_cancel(&token),
+        )
+        .unwrap();
         assert!(!run.completed, "mid-run cancel must interrupt the query");
         for w in run.outcome.pairs.windows(2) {
             assert!(pair_cmp(&w[0], &w[1]).is_le());

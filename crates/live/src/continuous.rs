@@ -10,9 +10,9 @@
 //!
 //! * **Insert** — the only new pairs involve the new point. Probe the
 //!   other tree with a bounded-radius search seeded by the current K-th
-//!   distance ([`RTree::within_dist2`], inclusive so distance ties
-//!   survive), add every candidate pair, and trim back to K under the
-//!   canonical order.
+//!   distance ([`RTree::within_dist2`](cpq_rtree::RTree::within_dist2),
+//!   inclusive so distance ties survive), add every candidate pair, and
+//!   trim back to K under the canonical order.
 //! * **Delete** — drop every result pair involving the deleted point. If
 //!   the set was *saturated* (some qualifying pair has ever been
 //!   discarded — by trimming or by the engine returning exactly K), pairs
@@ -26,10 +26,7 @@
 
 use crate::error::LiveResult;
 use crate::tree::{Side, Snapshot};
-use cpq_core::{
-    k_closest_pairs_constrained, self_closest_pairs_constrained, Algorithm, Constraint, CpqConfig,
-    PairResult,
-};
+use cpq_core::{execute, Algorithm, Constraint, CpqConfig, ExecCtx, NullProbe, PairResult, Query};
 use cpq_geo::{Dist2, Point, SpatialObject};
 use cpq_rtree::LeafEntry;
 use std::collections::BTreeMap;
@@ -50,14 +47,13 @@ pub struct ContinuousStats {
 
 /// An incrementally maintained K-closest-pairs result set.
 pub struct ContinuousCpq<const D: usize, O: SpatialObject<D> = Point<D>> {
-    k: usize,
-    self_join: bool,
-    /// Result-pair constraint (windows / colored); inactive by default.
-    /// Maintenance filters candidate pairs with the same
+    /// The maintained query (HEAP, default engine configuration); every
+    /// re-fill runs it. Its constraint (windows / colored; inactive by
+    /// default) also filters candidate pairs with the same
     /// [`Constraint::admits_pair`] predicate the engine gates its leaf
     /// scans with, so the maintained set stays bit-identical to a
     /// constrained recompute.
-    constraint: Constraint<D>,
+    query: Query<D>,
     /// The current result set, keyed by the canonical order. Values are
     /// the pairs themselves; iteration order == engine output order.
     top: BTreeMap<(Dist2, u64, u64), PairResult<D, O>>,
@@ -85,17 +81,9 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         snap_q: &Snapshot<D, O>,
         constraint: Constraint<D>,
     ) -> LiveResult<Self> {
-        let mut c = ContinuousCpq {
-            k,
-            self_join: false,
-            constraint,
-            top: BTreeMap::new(),
-            saturated: false,
-            stats: ContinuousStats::default(),
-        };
-        c.refill(Some(snap_p), Some(snap_q), None)?;
-        c.stats.refills = 0; // priming is not a refill
-        Ok(c)
+        let query =
+            Query::cross(k, Algorithm::Heap, CpqConfig::default()).with_constraint(constraint);
+        Self::prime(query, snap_p, snap_q)
     }
 
     /// Primes a continuous self-join K-CPQ from the given snapshot.
@@ -105,26 +93,32 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     /// Primes a continuous *constrained* self-join K-CPQ. The constraint
     /// must be symmetric (`window_p == window_q`): unordered pairs have no
-    /// stable side assignment.
+    /// stable side assignment, and an asymmetric one fails with
+    /// [`RTreeError::InvalidQuery`](cpq_rtree::RTreeError::InvalidQuery).
     pub fn new_self_constrained(
         k: usize,
         snap: &Snapshot<D, O>,
         constraint: Constraint<D>,
     ) -> LiveResult<Self> {
-        assert!(
-            constraint.is_symmetric(),
-            "self-join constraints must use one symmetric window"
-        );
+        let query =
+            Query::self_join(k, Algorithm::Heap, CpqConfig::default()).with_constraint(constraint);
+        Self::prime(query, snap, snap)
+    }
+
+    /// Primes the result set of `query` with one engine run.
+    fn prime(
+        query: Query<D>,
+        snap_p: &Snapshot<D, O>,
+        snap_q: &Snapshot<D, O>,
+    ) -> LiveResult<Self> {
         let mut c = ContinuousCpq {
-            k,
-            self_join: true,
-            constraint,
+            query,
             top: BTreeMap::new(),
             saturated: false,
             stats: ContinuousStats::default(),
         };
-        c.refill(None, None, Some(snap))?;
-        c.stats.refills = 0;
+        c.refill(snap_p, snap_q)?;
+        c.stats.refills = 0; // priming is not a refill
         Ok(c)
     }
 
@@ -136,7 +130,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     /// K.
     pub fn k(&self) -> usize {
-        self.k
+        self.query.k
     }
 
     /// Work counters.
@@ -147,7 +141,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
     /// Current probe bound: the K-th pair's distance once full, else
     /// unbounded (the set must grow).
     fn bound(&self) -> Dist2 {
-        if self.top.len() >= self.k {
+        if self.top.len() >= self.query.k {
             self.top
                 .keys()
                 .next_back()
@@ -160,7 +154,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     fn add_pair(&mut self, pair: PairResult<D, O>) {
         self.top.insert(pair.sort_key(), pair);
-        while self.top.len() > self.k {
+        while self.top.len() > self.query.k {
             self.top.pop_last();
             self.stats.trims += 1;
             self.saturated = true;
@@ -178,7 +172,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         snap_p: &Snapshot<D, O>,
         snap_q: &Snapshot<D, O>,
     ) -> LiveResult<()> {
-        if self.k == 0 {
+        if self.query.k == 0 {
             return Ok(());
         }
         let new_entry = LeafEntry::new(object, oid);
@@ -187,25 +181,26 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         // fails its side's window, no new pair can qualify and the probe
         // is skipped outright (nothing is discarded, so saturation is
         // untouched).
-        let new_qualifies = if self.self_join {
-            self.constraint.admits_p(&probe)
+        let con = self.query.constraint;
+        let new_qualifies = if self.query.is_self_join() {
+            con.admits_p(&probe)
         } else {
             match side {
-                Side::P => self.constraint.admits_p(&probe),
-                Side::Q => self.constraint.admits_q(&probe),
+                Side::P => con.admits_p(&probe),
+                Side::Q => con.admits_q(&probe),
             }
         };
         if !new_qualifies {
             return Ok(());
         }
         let bound = self.bound();
-        if self.top.len() >= self.k {
+        if self.top.len() >= self.query.k {
             // A bounded probe discards pairs beyond the K-th distance;
             // they may qualify after future deletes.
             self.saturated = true;
         }
         self.stats.probes += 1;
-        if self.self_join {
+        if self.query.is_self_join() {
             // New pairs: the new point against every other point within
             // the bound (the snapshot already contains the new point —
             // skip it), oriented smaller-oid-first like the engine.
@@ -220,12 +215,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
                 } else {
                     PairResult::new(new_entry, c)
                 };
-                if !self.constraint.admits_pair(
-                    &pair.p.mbr(),
-                    pair.p.oid,
-                    &pair.q.mbr(),
-                    pair.q.oid,
-                ) {
+                if !con.admits_pair(&pair.p.mbr(), pair.p.oid, &pair.q.mbr(), pair.q.oid) {
                     continue;
                 }
                 self.add_pair(pair);
@@ -242,12 +232,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
                     Side::P => PairResult::new(new_entry, c),
                     Side::Q => PairResult::new(c, new_entry),
                 };
-                if !self.constraint.admits_pair(
-                    &pair.p.mbr(),
-                    pair.p.oid,
-                    &pair.q.mbr(),
-                    pair.q.oid,
-                ) {
+                if !con.admits_pair(&pair.p.mbr(), pair.p.oid, &pair.q.mbr(), pair.q.oid) {
                     continue;
                 }
                 self.add_pair(pair);
@@ -269,7 +254,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
             .top
             .keys()
             .filter(|k| {
-                if self.self_join {
+                if self.query.is_self_join() {
                     k.1 == oid || k.2 == oid
                 } else {
                     match side {
@@ -289,11 +274,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         if self.saturated {
             // Discarded pairs may now qualify; one engine query restores
             // exactness.
-            if self.self_join {
-                self.refill(None, None, Some(snap_p))?;
-            } else {
-                self.refill(Some(snap_p), Some(snap_q), None)?;
-            }
+            self.refill(snap_p, snap_q)?;
         }
         Ok(())
     }
@@ -310,43 +291,21 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         self.on_delete(Side::P, oid, snap, snap)
     }
 
-    /// Full engine recompute into `top`; records saturation (an exactly-K
-    /// result may have discarded qualifying pairs).
-    fn refill(
-        &mut self,
-        snap_p: Option<&Snapshot<D, O>>,
-        snap_q: Option<&Snapshot<D, O>>,
-        snap_self: Option<&Snapshot<D, O>>,
-    ) -> LiveResult<()> {
-        let cfg = CpqConfig::default();
-        let outcome = if let Some(s) = snap_self {
-            self_closest_pairs_constrained(
-                s.tree(),
-                self.k,
-                Algorithm::Heap,
-                &cfg,
-                self.constraint,
-            )?
-        } else {
-            // analyze: allow(panic-path) — cross refill is always called with
-            // both snapshots; the two forms share this one signature.
-            let p = snap_p.expect("cross refill needs P");
-            // analyze: allow(panic-path) — same contract as the line above.
-            let q = snap_q.expect("cross refill needs Q");
-            k_closest_pairs_constrained(
-                p.tree(),
-                q.tree(),
-                self.k,
-                Algorithm::Heap,
-                &cfg,
-                self.constraint,
-            )?
-        };
+    /// Full engine recompute into `top` (a self-join reads `snap_p` only);
+    /// records saturation (an exactly-K result may have discarded
+    /// qualifying pairs).
+    fn refill(&mut self, snap_p: &Snapshot<D, O>, snap_q: &Snapshot<D, O>) -> LiveResult<()> {
+        let run = execute(
+            snap_p.tree(),
+            snap_q.tree(),
+            &self.query,
+            ExecCtx::new(&mut NullProbe),
+        )?;
         self.top.clear();
-        for pair in outcome.pairs {
+        for pair in run.outcome.pairs {
             self.top.insert(pair.sort_key(), pair);
         }
-        self.saturated = self.top.len() == self.k;
+        self.saturated = self.top.len() == self.query.k;
         self.stats.refills += 1;
         Ok(())
     }

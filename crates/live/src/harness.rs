@@ -1,5 +1,5 @@
-//! Crash-injection harness: utilities for killing a [`LiveTree`]
-//! (crate::tree::LiveTree) directory at any write boundary and checking
+//! Crash-injection harness: utilities for killing a
+//! [`LiveTree`](crate::tree::LiveTree) directory at any write boundary and checking
 //! what recovery makes of the wreck.
 //!
 //! The harness never kills a process; it reconstructs the exact set of

@@ -1,4 +1,4 @@
-//! ARIES-lite crash recovery for [`LiveTree`](crate::tree::LiveTree)
+//! ARIES-lite crash recovery for [`LiveTree`]
 //! directories.
 //!
 //! Classic ARIES needs three passes because in-place updates can clobber
@@ -7,7 +7,7 @@
 //! *fresh* pages — pages unreachable from every committed descriptor — so
 //! there is nothing to roll back, only garbage to sweep. Recovery is:
 //!
-//! 1. **Analysis** — [`scan_log`](crate::wal::scan_log) finds the newest
+//! 1. **Analysis** — [`scan_log`] finds the newest
 //!    segment whose leading checkpoint is intact (the base), then decodes
 //!    records until the first torn one (a torn tail is the expected shape
 //!    of a crash, not an error). Operations with a `Commit` record in the

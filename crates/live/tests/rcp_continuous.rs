@@ -15,9 +15,9 @@ use cpq_core::{
 use cpq_datasets::uniform_grid;
 use cpq_geo::{pack_color, Point2, Rect2};
 use cpq_live::tree::LiveConfig;
-use cpq_live::{ContinuousCpq, LiveTree, Side};
+use cpq_live::{ContinuousCpq, LiveError, LiveTree, Side};
 use cpq_rng::Rng;
-use cpq_rtree::{RTreeParams, ValidateOptions};
+use cpq_rtree::{RTreeError, RTreeParams, ValidateOptions};
 
 fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
     pairs
@@ -194,4 +194,29 @@ fn snapshot_validates_against_window_bounds() {
         "expected a bounds violation, got: {:?}",
         report.violations
     );
+}
+
+/// An asymmetric window on a continuous self-join is a typed error from
+/// the priming run, not a panic — on an empty tree and a populated one.
+#[test]
+fn asymmetric_self_join_window_fails_cleanly() {
+    let lopsided = Constraint::windows(Some(Rect2::from_corners([0.0, 0.0], [50.0, 50.0])), None);
+    let live: LiveTree<2> =
+        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+    for populated in [false, true] {
+        if populated {
+            for i in 0..40u64 {
+                live.insert(Point2::from([i as f64, 1.0]), i)
+                    .expect("insert");
+            }
+        }
+        let snap = live.snapshot().expect("snap");
+        match ContinuousCpq::new_self_constrained(3, &snap, lopsided) {
+            Err(LiveError::Tree(RTreeError::InvalidQuery(msg))) => {
+                assert!(msg.contains("symmetric"), "{msg}")
+            }
+            Err(e) => panic!("expected InvalidQuery, got {e}"),
+            Ok(_) => panic!("asymmetric self-join window accepted"),
+        }
+    }
 }

@@ -22,6 +22,9 @@ pub enum RTreeError {
     InvalidParams(String),
     /// Structural invariant violated (reported by the validator).
     InvariantViolation(String),
+    /// A query description broke a contract of the query it describes
+    /// (for example an asymmetric window on a self-join).
+    InvalidQuery(String),
     /// A cooperative cancellation point observed a tripped token (deadline
     /// expiry or explicit cancel). Query drivers catch this to return the
     /// partial result accumulated so far; it never escapes the cancellable
@@ -38,6 +41,7 @@ impl fmt::Display for RTreeError {
             }
             RTreeError::InvalidParams(msg) => write!(f, "invalid parameters: {msg}"),
             RTreeError::InvariantViolation(msg) => write!(f, "invariant violation: {msg}"),
+            RTreeError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             RTreeError::Cancelled => write!(f, "operation cancelled"),
         }
     }

@@ -72,14 +72,14 @@ pub use http::MetricsServer;
 pub use obs::{ObsConfig, ServiceObs};
 pub use planner::{plan, PlannerInputs, QueryPlan};
 pub use queue::AdmissionQueue;
-pub use request::{QueryKind, QueryRequest, QueryResponse, QueryStatus, Rejected};
+pub use request::{QueryRequest, QueryResponse, QueryStatus, Rejected};
 pub use service::{CpqService, QueryTicket, ServiceConfig, TreePair};
 pub use stats::{Percentiles, ServiceStats, StatsSummary};
 
 // Re-exported so embedders can drive cancellation themselves, and build
-// the windowed/colored constraints requests carry, without depending on
-// cpq-core directly.
-pub use cpq_core::{CancelToken, Constraint};
+// the join kinds and windowed/colored constraints requests carry, without
+// depending on cpq-core directly.
+pub use cpq_core::{CancelToken, Constraint, QueryKind};
 // Re-exported so embedders can consume slow-query profiles without
 // depending on cpq-obs directly.
 pub use cpq_obs::QueryProfile;

@@ -44,8 +44,8 @@
 //!    (`≥ `[`PARALLEL_ACCESSES`]), capped at [`MAX_FANOUT`] — speculative
 //!    workers beyond a handful mostly duplicate the driver's frontier.
 
-use crate::request::QueryKind;
 use cpq_core::costmodel::estimate_1cp_cost;
+use cpq_core::QueryKind;
 use cpq_core::{Algorithm, Constraint};
 use cpq_geo::Rect;
 use cpq_rtree::LevelStats;

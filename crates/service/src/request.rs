@@ -1,29 +1,9 @@
 //! The request/response vocabulary of the query service.
 
-use cpq_core::{Algorithm, Constraint, CpqStats, PairResult};
+use cpq_core::{Algorithm, Constraint, CpqStats, PairResult, QueryKind};
 use cpq_geo::{Point, SpatialObject};
 use cpq_obs::QueryProfile;
 use std::time::Duration;
-
-/// Which join shape a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryKind {
-    /// K closest pairs between the service's `P` and `Q` trees.
-    Cross,
-    /// K closest pairs **within** the `P` tree (Self-CPQ; distinct objects,
-    /// each unordered pair once).
-    SelfJoin,
-}
-
-impl QueryKind {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueryKind::Cross => "cross",
-            QueryKind::SelfJoin => "self",
-        }
-    }
-}
 
 /// One closest-pair query, as admitted by
 /// [`CpqService::submit`](crate::CpqService::submit).

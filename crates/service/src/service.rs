@@ -4,23 +4,18 @@ use crate::http::MetricsServer;
 use crate::obs::{ObsConfig, ServiceObs};
 use crate::planner::{plan, PlannerInputs, QueryPlan};
 use crate::queue::AdmissionQueue;
-use crate::request::{QueryKind, QueryRequest, QueryResponse, QueryStatus, Rejected};
+use crate::request::{QueryRequest, QueryResponse, QueryStatus, Rejected};
 use crate::stats::{ServiceStats, StatsSummary};
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{mpsc, Arc};
 use cpq_core::{
-    k_closest_pairs_cancellable, k_closest_pairs_constrained_instrumented,
-    k_closest_pairs_instrumented, self_closest_pairs_cancellable,
-    self_closest_pairs_constrained_instrumented, self_closest_pairs_instrumented, CancelToken,
-    CpqConfig, CpqStats, NullProbe, ProfileProbe, QueryProfile,
+    execute, CancelToken, CpqConfig, CpqStats, ExecCtx, NullProbe, ProfileProbe, Query, QueryKind,
+    QueryProfile, QueryRun,
 };
 use cpq_geo::{Point, SpatialObject};
 use cpq_live::{ApplyReport, LiveError, LiveSet, LiveTree, UpdateOp};
 use cpq_rtree::{LevelStats, RTree};
-use cpq_shard::{
-    k_closest_pairs_sharded_constrained, self_closest_pairs_sharded_constrained, ShardConfig,
-    ShardReport, ShardedPair,
-};
+use cpq_shard::{execute_sharded, ShardConfig, ShardReport, ShardedPair};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -509,80 +504,26 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
     }
 }
 
-/// The classic (non-scatter) engine dispatch over two borrowed trees —
-/// the static pair or a live query's pinned snapshots. Self-joins ignore
-/// `q` (callers pass `p` twice).
-fn run_classic<const D: usize, O: SpatialObject<D>>(
+/// Runs `query` over two borrowed trees — the static pair or a live
+/// query's pinned snapshots — under the profile probe when `probe` is
+/// given and the compiled-out [`NullProbe`] otherwise.
+fn run_engine<const D: usize, O: SpatialObject<D>>(
     p: &RTree<D, O>,
     q: &RTree<D, O>,
-    job: &Job<D, O>,
-    cpq: &CpqConfig,
+    query: &Query<D>,
     cancel: &CancelToken,
-    instrument: bool,
-    probe: &mut ProfileProbe,
-) -> Result<cpq_core::QueryRun<D, O>, String> {
-    let con = job.req.constraint;
-    let classic = if con.is_active() {
-        // The constrained engine has one cancellable, probed entry point
-        // per kind; the uninstrumented path runs it under a NullProbe
-        // (compiled-out callbacks, same zero overhead as the plain path).
-        match (job.req.kind, instrument) {
-            (QueryKind::Cross, true) => k_closest_pairs_constrained_instrumented(
-                p,
-                q,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                probe,
-            ),
-            (QueryKind::SelfJoin, true) => self_closest_pairs_constrained_instrumented(
-                p,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                probe,
-            ),
-            (QueryKind::Cross, false) => k_closest_pairs_constrained_instrumented(
-                p,
-                q,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                &mut NullProbe,
-            ),
-            (QueryKind::SelfJoin, false) => self_closest_pairs_constrained_instrumented(
-                p,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                &mut NullProbe,
-            ),
-        }
-    } else {
-        match (job.req.kind, instrument) {
-            (QueryKind::Cross, false) => {
-                k_closest_pairs_cancellable(p, q, job.req.k, job.req.algorithm, cpq, cancel)
-            }
-            (QueryKind::SelfJoin, false) => {
-                self_closest_pairs_cancellable(p, job.req.k, job.req.algorithm, cpq, cancel)
-            }
-            (QueryKind::Cross, true) => {
-                k_closest_pairs_instrumented(p, q, job.req.k, job.req.algorithm, cpq, cancel, probe)
-            }
-            (QueryKind::SelfJoin, true) => {
-                self_closest_pairs_instrumented(p, job.req.k, job.req.algorithm, cpq, cancel, probe)
-            }
-        }
+    probe: Option<&mut ProfileProbe>,
+) -> Result<QueryRun<D, O>, String> {
+    let run = match probe {
+        Some(probe) => execute(p, q, query, ExecCtx::new(probe).with_cancel(cancel)),
+        None => execute(
+            p,
+            q,
+            query,
+            ExecCtx::new(&mut NullProbe).with_cancel(cancel),
+        ),
     };
-    classic.map_err(|e| e.to_string())
+    run.map_err(|e| e.to_string())
 }
 
 fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
@@ -609,95 +550,63 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
         } else {
             ((0, 0), ProfileProbe::new())
         };
-        // The per-query engine config: the shared one, plus this request's
-        // intra-query parallelism clamped to the service ceiling. The token
-        // travels into the parallel executor, so a deadline expiring
-        // mid-steal still stops the query within one node visit.
-        let mut cpq = shared.cpq;
-        cpq.parallelism = job.req.parallelism.unwrap_or(0).min(shared.max_parallelism);
+        // The query: the request's shape under the shared engine config,
+        // plus this request's intra-query parallelism clamped to the
+        // service ceiling. The token travels into the parallel executor, so
+        // a deadline expiring mid-steal still stops the query within one
+        // node visit.
+        let query = Query {
+            kind: job.req.kind,
+            k: job.req.k,
+            algorithm: job.req.algorithm,
+            constraint: job.req.constraint,
+            config: CpqConfig {
+                parallelism: job.req.parallelism.unwrap_or(0).min(shared.max_parallelism),
+                ..shared.cpq
+            },
+        };
+        let engine_probe = instrument.then_some(&mut probe);
         // Shard-aware dispatch: a request carrying a scatter fan-out runs
         // over the sharded replicas (when this service holds them), clamped
         // to the configured ceiling. The scatter path owns its own worker
         // fan-out, so intra-query parallelism is irrelevant to it.
         let scatter_workers = job.req.scatter.unwrap_or(0).min(shared.max_shards);
         let mut shard_report = None;
-        // An asymmetric windowed self-join has no stable side assignment
-        // for its unordered pairs; fail it here rather than panicking in
-        // the engine's contract assert.
-        let result = if job.req.kind == QueryKind::SelfJoin && !job.req.constraint.is_symmetric() {
-            Err("self-join constraints must use one symmetric window".to_string())
-        } else if let Some(pair) = shared.sharded.as_ref().filter(|_| scatter_workers >= 1) {
+        let result = if let Some(pair) = shared.sharded.as_ref().filter(|_| scatter_workers >= 1) {
             let shard_cfg = ShardConfig {
                 workers: scatter_workers,
                 query_id: job.id,
                 ..ShardConfig::default()
             };
-            let run = match job.req.kind {
-                QueryKind::Cross => k_closest_pairs_sharded_constrained(
-                    &pair.p,
-                    &pair.q,
-                    job.req.k,
-                    job.req.algorithm,
-                    &cpq,
-                    &shard_cfg,
-                    job.req.constraint,
-                    Some(&cancel),
-                ),
-                QueryKind::SelfJoin => self_closest_pairs_sharded_constrained(
-                    &pair.p,
-                    job.req.k,
-                    job.req.algorithm,
-                    &cpq,
-                    &shard_cfg,
-                    job.req.constraint,
-                    Some(&cancel),
-                ),
-            };
-            match run {
-                Ok(run) => {
+            execute_sharded(&pair.p, &pair.q, &query, &shard_cfg, Some(&cancel))
+                .map(|run| {
                     shard_report = Some(run.report);
-                    Ok(cpq_core::QueryRun {
+                    QueryRun {
                         outcome: run.outcome,
                         completed: run.completed,
-                    })
-                }
-                Err(e) => Err(e.to_string()),
-            }
+                    }
+                })
+                .map_err(|e| e.to_string())
         } else {
             match &shared.source {
-                Source::Static(trees) => run_classic(
-                    &trees.p, &trees.q, &job, &cpq, &cancel, instrument, &mut probe,
-                ),
+                Source::Static(trees) => {
+                    run_engine(&trees.p, &trees.q, &query, &cancel, engine_probe)
+                }
                 // Live path: pin epoch snapshots for the query's whole
                 // execution — one committed state end to end, no matter
                 // how many update batches commit mid-query. Self-joins
                 // pin only P.
-                Source::Live(live) => match live.p().snapshot() {
-                    Err(e) => Err(e.to_string()),
-                    Ok(snap_p) => match job.req.kind {
-                        QueryKind::SelfJoin => run_classic(
-                            snap_p.tree(),
-                            snap_p.tree(),
-                            &job,
-                            &cpq,
-                            &cancel,
-                            instrument,
-                            &mut probe,
-                        ),
-                        QueryKind::Cross => match live.q().snapshot() {
-                            Err(e) => Err(e.to_string()),
-                            Ok(snap_q) => run_classic(
-                                snap_p.tree(),
-                                snap_q.tree(),
-                                &job,
-                                &cpq,
-                                &cancel,
-                                instrument,
-                                &mut probe,
-                            ),
-                        },
-                    },
-                },
+                Source::Live(live) => {
+                    let snap_p = live.p().snapshot();
+                    let snap_q = (!query.is_self_join()).then(|| live.q().snapshot());
+                    match (snap_p, snap_q.transpose()) {
+                        (Ok(sp), Ok(sq)) => {
+                            let tq = sq.as_ref().unwrap_or(&sp).tree();
+                            run_engine(sp.tree(), tq, &query, &cancel, engine_probe)
+                        }
+                        (Err(e), _) | (_, Err(e)) => Err(e.to_string()),
+                    }
+                }
             }
         };
         let (status, pairs, stats) = match result {

@@ -5,26 +5,25 @@
 //! computes every shard pair's inter-shard `MINMINDIST` from the manifest
 //! MBRs; dispatch ([`Scatter`]) hands pairs out best-first and prunes the
 //! tail once the best remaining separation exceeds the shared bound;
-//! every subquery is an ordinary sequential engine run that consumes and
-//! publishes that bound ([`cpq_core::k_closest_pairs_scatter`]); the
+//! every subquery is an ordinary sequential [`cpq_core::execute`] run
+//! that consumes and publishes that bound
+//! ([`ExecCtx::with_scatter`](cpq_core::ExecCtx::with_scatter)); the
 //! gather step merges by the canonical total order ([`merge_top_k`]), so
 //! the final top-K is bit-identical to the unsharded engine.
 //!
 //! With `ShardConfig::wire_codec` enabled, every subquery and partial
 //! result — plus a [`BoundUpdate`] per finished subquery — is round-tripped
-//! through the [`proto`](crate::proto) byte codec and the worker runs from
-//! the *decoded* message, proving the wire protocol carries everything a
-//! remote shard server would need.
+//! through the [`proto`](crate::proto) byte codec and the worker runs the
+//! query of the *decoded* message ([`ShardSubquery::query`]), proving the
+//! wire protocol carries everything a remote shard server would need.
 
 use crate::build::ShardedTree;
 use crate::merge::merge_top_k;
-use crate::proto::{
-    algorithm_from_code, BoundUpdate, PartialResult, ProtoError, ShardSubquery, WirePair,
-};
+use crate::proto::{BoundUpdate, PartialResult, ProtoError, ShardSubquery, WirePair};
 use crate::scatter::{Scatter, Task};
 use cpq_core::{
-    k_closest_pairs_scatter_constrained, self_closest_pairs_scatter_constrained, Algorithm,
-    CancelToken, Constraint, CpqConfig, CpqStats, PairResult, QueryOutcome,
+    execute, Algorithm, CancelToken, Constraint, CpqConfig, CpqStats, ExecCtx, NullProbe,
+    PairResult, Query, QueryKind, QueryOutcome, QueryRun,
 };
 use cpq_geo::{min_min_dist2, SpatialObject};
 use cpq_rtree::RTreeError;
@@ -71,8 +70,8 @@ pub struct ShardReport {
     pub pairs_opened: u64,
     /// Opened subqueries that ran to completion.
     pub subqueries_completed: u64,
-    /// Successful tightenings of the cross-shard [`SharedBound`]
-    /// ([`cpq_core::SharedBound`]).
+    /// Successful tightenings of the cross-shard
+    /// [`SharedBound`](cpq_core::SharedBound).
     pub bound_updates: u64,
 }
 
@@ -90,11 +89,12 @@ pub struct ShardRun<const D: usize, O: SpatialObject<D> = cpq_geo::Point<D>> {
     pub report: ShardReport,
 }
 
-/// Errors of a sharded run: a storage/tree failure inside a subquery, or a
-/// codec failure in `wire_codec` mode.
+/// Errors of a sharded run: an invalid query, a storage/tree failure inside
+/// a subquery, or a codec failure in `wire_codec` mode.
 #[derive(Debug)]
 pub enum ShardError {
-    /// A subquery's tree raised an error (exactly one surfaces).
+    /// The query failed validation ([`RTreeError::InvalidQuery`]), or a
+    /// subquery's tree raised an error (exactly one surfaces).
     Tree(RTreeError),
     /// A protocol message failed to round-trip through the codec.
     Proto(ProtoError),
@@ -103,7 +103,7 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardError::Tree(e) => write!(f, "shard subquery failed: {e}"),
+            ShardError::Tree(e) => write!(f, "sharded query failed: {e}"),
             ShardError::Proto(e) => write!(f, "shard protocol error: {e}"),
         }
     }
@@ -123,36 +123,97 @@ impl From<ProtoError> for ShardError {
     }
 }
 
-/// K closest pairs between two sharded datasets, scatter-gather across all
-/// shard pairs. Bit-identical to
-/// [`cpq_core::k_closest_pairs`] over the unsharded datasets.
-pub fn k_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
+/// Runs `query` scatter-gather across all shard pairs of two sharded
+/// datasets — the sharded counterpart of [`cpq_core::execute`], and
+/// bit-identical to it over the unsharded datasets.
+///
+/// A self-join runs over `p` alone; `q` is ignored. Shard pairs whose
+/// window-clipped manifest MBRs cannot contain a qualifying pair are
+/// skipped at planning time. Every subquery runs the sequential engine
+/// (`query.config.parallelism` is ignored; `shard.workers` is the
+/// fan-out). Fails before planning when [`Query::validate`] does.
+pub fn execute_sharded<const D: usize, O: SpatialObject<D>>(
     p: &ShardedTree<D, O>,
     q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
+    query: &Query<D>,
     shard: &ShardConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(
-        p,
-        q,
-        k,
-        algorithm,
-        config,
-        shard,
-        cancel,
-        false,
-        Constraint::none(),
-    )
+    query.validate()?;
+    let q = if query.is_self_join() { p } else { q };
+    if query.k == 0 || p.is_empty() || q.is_empty() {
+        return Ok(ShardRun {
+            outcome: QueryOutcome {
+                pairs: Vec::new(),
+                stats: CpqStats::default(),
+            },
+            completed: true,
+            report: ShardReport::default(),
+        });
+    }
+
+    let owned_cancel;
+    let cancel = match cancel {
+        Some(c) => c,
+        None => {
+            owned_cancel = CancelToken::new();
+            &owned_cancel
+        }
+    };
+
+    let scatter = Scatter::new(plan(p, q, query.is_self_join(), &query.constraint));
+    let workers = shard.workers.max(1);
+    let outs: Vec<WorkerOut<D, O>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let sc = &scatter;
+                scope.spawn(move || worker_run(sc, p, q, query, shard, cancel))
+            })
+            .collect();
+        handles
+            .into_iter()
+            // analyze: allow(panic-path) — a panicking worker is a bug; propagate
+            // the panic rather than fabricate a result.
+            .map(|h| h.join().expect("shard workers never panic"))
+            .collect()
+    });
+
+    let mut stats = CpqStats::default();
+    let mut subqueries_completed = 0;
+    let mut completed = true;
+    let mut partials = Vec::new();
+    for mut out in outs {
+        if let Some(e) = out.error {
+            return Err(e);
+        }
+        sum_stats(&mut stats, &out.stats);
+        subqueries_completed += out.subqueries_completed;
+        completed &= out.all_completed;
+        partials.append(&mut out.partials);
+    }
+
+    let counts = scatter.counts();
+    // A cancelled run may leave tasks neither opened nor pruned; a
+    // finished one accounts for every generated pair.
+    completed &= counts.opened + counts.pruned == counts.generated;
+    let pairs = merge_top_k(partials, query.k);
+    Ok(ShardRun {
+        outcome: QueryOutcome { pairs, stats },
+        completed,
+        report: ShardReport {
+            pairs_generated: counts.generated,
+            pairs_pruned: counts.pruned,
+            pairs_opened: counts.opened,
+            subqueries_completed,
+            bound_updates: scatter.bound.updates(),
+        },
+    })
 }
 
-/// Constrained variant of [`k_closest_pairs_sharded`]: only pairs admitted
-/// by `constraint` (windows and/or colored) qualify. Shard pairs whose
-/// window-clipped manifest MBRs cannot contain a qualifying pair are
-/// skipped at planning time. Bit-identical to
-/// [`cpq_core::k_closest_pairs_constrained`] over the unsharded datasets.
+/// Constrained K closest pairs between two sharded datasets: only pairs
+/// admitted by `constraint` (windows and/or colored) qualify.
+/// Bit-identical to [`cpq_core::k_closest_pairs_constrained`] over the
+/// unsharded datasets; a forward to [`execute_sharded`].
 #[allow(clippy::too_many_arguments)]
 pub fn k_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D>>(
     p: &ShardedTree<D, O>,
@@ -164,36 +225,19 @@ pub fn k_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D>>(
     constraint: Constraint<D>,
     cancel: Option<&CancelToken>,
 ) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(p, q, k, algorithm, config, shard, cancel, false, constraint)
-}
-
-/// K closest pairs within one sharded dataset (self-join, `p.oid < q.oid`).
-/// Bit-identical to [`cpq_core::self_closest_pairs`] over the unsharded
-/// dataset.
-pub fn self_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
-    t: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(
-        t,
-        t,
-        k,
-        algorithm,
-        config,
+    execute_sharded(
+        p,
+        q,
+        &Query::cross(k, algorithm, *config).with_constraint(constraint),
         shard,
         cancel,
-        true,
-        Constraint::none(),
     )
 }
 
-/// Constrained variant of [`self_closest_pairs_sharded`]. The constraint
-/// must be symmetric (`window_p == window_q`): unordered pairs have no
-/// stable side assignment.
+/// Constrained K closest pairs within one sharded dataset (self-join,
+/// `p.oid < q.oid`); a forward to [`execute_sharded`]. The constraint must
+/// be symmetric (`window_p == window_q`), or the run fails with
+/// [`RTreeError::InvalidQuery`].
 pub fn self_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D>>(
     t: &ShardedTree<D, O>,
     k: usize,
@@ -203,11 +247,13 @@ pub fn self_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D
     constraint: Constraint<D>,
     cancel: Option<&CancelToken>,
 ) -> Result<ShardRun<D, O>, ShardError> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    run_sharded(t, t, k, algorithm, config, shard, cancel, true, constraint)
+    execute_sharded(
+        t,
+        t,
+        &Query::self_join(k, algorithm, *config).with_constraint(constraint),
+        shard,
+        cancel,
+    )
 }
 
 /// Plans the shard-pair task set from the two manifests.
@@ -282,16 +328,12 @@ fn sum_stats(acc: &mut CpqStats, s: &CpqStats) {
 
 /// One worker: drain the dispatcher, run each claimed shard pair as an
 /// engine subquery against the shared bound, keep the partial top-K lists.
-#[allow(clippy::too_many_arguments)]
 fn worker_run<const D: usize, O: SpatialObject<D>>(
     sc: &Scatter,
     p: &ShardedTree<D, O>,
     q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
+    query: &Query<D>,
     shard: &ShardConfig,
-    constraint: Constraint<D>,
     cancel: &CancelToken,
 ) -> WorkerOut<D, O> {
     let mut out = WorkerOut {
@@ -308,9 +350,7 @@ fn worker_run<const D: usize, O: SpatialObject<D>>(
                 q.prefetch_roots(&[nq]);
             }
         }
-        let run = match run_task(
-            sc, p, q, k, algorithm, config, shard, constraint, cancel, task,
-        ) {
+        let run = match run_task(sc, p, q, query, shard, cancel, task) {
             Ok(run) => run,
             Err(e) => {
                 out.error = Some(e);
@@ -338,81 +378,58 @@ fn worker_run<const D: usize, O: SpatialObject<D>>(
 }
 
 /// Runs one claimed shard pair, round-tripping the protocol messages when
-/// `wire_codec` is on (the subquery is then executed from the *decoded*
+/// `wire_codec` is on (the subquery then runs the query of the *decoded*
 /// message; the decoded partial is checked for fidelity against the
 /// in-memory pairs, which keep their geometry for the merge).
-#[allow(clippy::too_many_arguments)]
 fn run_task<const D: usize, O: SpatialObject<D>>(
     sc: &Scatter,
     p: &ShardedTree<D, O>,
     q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
+    query: &Query<D>,
     shard: &ShardConfig,
-    constraint: Constraint<D>,
     cancel: &CancelToken,
     task: Task,
-) -> Result<cpq_core::QueryRun<D, O>, ShardError> {
-    let (shard_p, shard_q, self_join, orient, alg, con) = if shard.wire_codec {
-        let msg = ShardSubquery {
-            query_id: shard.query_id,
-            shard_p: task.shard_p,
-            shard_q: task.shard_q,
-            k: k as u64,
-            algorithm: crate::proto::algorithm_code(algorithm),
-            self_join: task.self_join,
-            orient_by_oid: task.orient,
-            minmin_bits: task.minmin_bits,
-            window_p: constraint.window_p,
-            window_q: constraint.window_q,
-            colored: constraint.colored,
-        };
+) -> Result<QueryRun<D, O>, ShardError> {
+    // A diagonal task is a self-join of one shard; every other task of a
+    // sharded self-join is an oriented cross query.
+    let sub = Query {
+        kind: if task.self_join {
+            QueryKind::SelfJoin
+        } else {
+            QueryKind::Cross
+        },
+        ..*query
+    };
+    let msg = ShardSubquery {
+        query_id: shard.query_id,
+        shard_p: task.shard_p,
+        shard_q: task.shard_q,
+        orient_by_oid: task.orient,
+        minmin_bits: task.minmin_bits,
+        ..ShardSubquery::from_query(&sub)
+    };
+    let (msg, sub) = if shard.wire_codec {
+        // Run from the *decoded* frame: the proof the wire carries K, the
+        // algorithm, the join kind, the windows and the colored flag
+        // faithfully. The engine configuration is the shard's own.
         let decoded = ShardSubquery::decode(&msg.encode())?;
-        (
-            decoded.shard_p,
-            decoded.shard_q,
-            decoded.self_join,
-            decoded.orient_by_oid,
-            algorithm_from_code(decoded.algorithm)?,
-            // Run from the *decoded* constraint: the proof the wire carries
-            // the windows and the colored flag faithfully.
-            decoded.constraint(),
-        )
+        let sub = Query {
+            config: query.config,
+            ..decoded.query()?
+        };
+        (decoded, sub)
     } else {
-        (
-            task.shard_p,
-            task.shard_q,
-            task.self_join,
-            task.orient,
-            algorithm,
-            constraint,
-        )
+        (msg, sub)
     };
-
-    let run = if self_join {
-        self_closest_pairs_scatter_constrained(
-            p.shard(shard_p as usize),
-            k,
-            alg,
-            config,
-            con,
-            cancel,
-            &sc.bound,
-        )?
-    } else {
-        k_closest_pairs_scatter_constrained(
-            p.shard(shard_p as usize),
-            q.shard(shard_q as usize),
-            k,
-            alg,
-            config,
-            con,
-            cancel,
-            &sc.bound,
-            orient,
-        )?
-    };
+    let (shard_p, shard_q) = (msg.shard_p, msg.shard_q);
+    let run = execute(
+        p.shard(shard_p as usize),
+        q.shard(shard_q as usize),
+        &sub,
+        ExecCtx::new(&mut NullProbe)
+            .with_cancel(cancel)
+            .with_scatter(&sc.bound, msg.orient_by_oid),
+    )?;
 
     if shard.wire_codec {
         // A remote shard server would ship exactly these two messages
@@ -447,87 +464,4 @@ fn run_task<const D: usize, O: SpatialObject<D>>(
         sc.bound.tighten(f64::from_bits(decoded.bound_bits));
     }
     Ok(run)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    cancel: Option<&CancelToken>,
-    self_join: bool,
-    constraint: Constraint<D>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    if k == 0 || p.is_empty() || q.is_empty() {
-        return Ok(ShardRun {
-            outcome: QueryOutcome {
-                pairs: Vec::new(),
-                stats: CpqStats::default(),
-            },
-            completed: true,
-            report: ShardReport::default(),
-        });
-    }
-
-    let owned_cancel;
-    let cancel = match cancel {
-        Some(c) => c,
-        None => {
-            owned_cancel = CancelToken::new();
-            &owned_cancel
-        }
-    };
-
-    let scatter = Scatter::new(plan(p, q, self_join, &constraint));
-    let workers = shard.workers.max(1);
-    let outs: Vec<WorkerOut<D, O>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let sc = &scatter;
-                scope.spawn(move || {
-                    worker_run(sc, p, q, k, algorithm, config, shard, constraint, cancel)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // analyze: allow(panic-path) — a panicking worker is a bug; propagate
-            // the panic rather than fabricate a result.
-            .map(|h| h.join().expect("shard workers never panic"))
-            .collect()
-    });
-
-    let mut stats = CpqStats::default();
-    let mut subqueries_completed = 0;
-    let mut completed = true;
-    let mut partials = Vec::new();
-    for mut out in outs {
-        if let Some(e) = out.error {
-            return Err(e);
-        }
-        sum_stats(&mut stats, &out.stats);
-        subqueries_completed += out.subqueries_completed;
-        completed &= out.all_completed;
-        partials.append(&mut out.partials);
-    }
-
-    let counts = scatter.counts();
-    // A cancelled run may leave tasks neither opened nor pruned; a
-    // finished one accounts for every generated pair.
-    completed &= counts.opened + counts.pruned == counts.generated;
-    let pairs = merge_top_k(partials, k);
-    Ok(ShardRun {
-        outcome: QueryOutcome { pairs, stats },
-        completed,
-        report: ShardReport {
-            pairs_generated: counts.generated,
-            pairs_pruned: counts.pruned,
-            pairs_opened: counts.opened,
-            subqueries_completed,
-            bound_updates: scatter.bound.updates(),
-        },
-    })
 }

@@ -12,8 +12,8 @@
 //!   a **best-first priority queue** — exactly the paper's branch-and-bound
 //!   lifted one level, from node pairs to shard pairs.
 //! * A worker pool pops shard pairs and runs each as an ordinary
-//!   (cancellable, sequential) engine subquery via
-//!   [`cpq_core::k_closest_pairs_scatter`], all sharing one
+//!   (cancellable, sequential) [`cpq_core::execute`] subquery in scatter
+//!   mode ([`cpq_core::ExecCtx::with_scatter`]), all sharing one
 //!   [`SharedBound`](cpq_core::SharedBound) — the AtomicU64 f64-bits
 //!   CAS-min bound of `crates/core/src/parallel.rs`, propagated across
 //!   shards instead of threads.
@@ -41,8 +41,8 @@ mod scatter;
 
 pub use build::{ShardedPair, ShardedTree};
 pub use coord::{
-    k_closest_pairs_sharded, k_closest_pairs_sharded_constrained, self_closest_pairs_sharded,
-    self_closest_pairs_sharded_constrained, ShardConfig, ShardError, ShardReport, ShardRun,
+    execute_sharded, k_closest_pairs_sharded_constrained, self_closest_pairs_sharded_constrained,
+    ShardConfig, ShardError, ShardReport, ShardRun,
 };
 pub use merge::merge_top_k;
 pub use proto::{

@@ -30,7 +30,7 @@
 //!
 //! [`SharedBound`]: cpq_core::SharedBound
 
-use cpq_core::{Algorithm, Constraint};
+use cpq_core::{Algorithm, Constraint, CpqConfig, Query, QueryKind};
 use cpq_geo::Rect;
 
 /// Message tag bytes (first byte of every encoded message).
@@ -66,6 +66,8 @@ pub enum ProtoError {
     BadAlgorithm(u8),
     /// A window rectangle's corners were out of order or NaN.
     BadWindow,
+    /// A subquery K that does not fit this platform's `usize`.
+    BadK(u64),
 }
 
 impl std::fmt::Display for ProtoError {
@@ -82,6 +84,7 @@ impl std::fmt::Display for ProtoError {
             }
             ProtoError::BadAlgorithm(c) => write!(f, "unknown algorithm code {c}"),
             ProtoError::BadWindow => write!(f, "window corners out of order or NaN"),
+            ProtoError::BadK(k) => write!(f, "subquery K {k} does not fit usize"),
         }
     }
 }
@@ -355,6 +358,45 @@ pub struct ShardSubquery<const D: usize> {
 }
 
 impl<const D: usize> ShardSubquery<D> {
+    /// The subquery message carrying `query`: its kind (a self-join query
+    /// is a diagonal subquery), K, algorithm and constraint. The routing
+    /// fields (`query_id`, shard ids, `orient_by_oid`, `minmin_bits`) are
+    /// zero for the caller to fill in. The engine configuration is not on
+    /// the wire: it belongs to the shard that runs the subquery.
+    pub fn from_query(query: &Query<D>) -> Self {
+        ShardSubquery {
+            query_id: 0,
+            shard_p: 0,
+            shard_q: 0,
+            k: query.k as u64,
+            algorithm: algorithm_code(query.algorithm),
+            self_join: query.is_self_join(),
+            orient_by_oid: false,
+            minmin_bits: 0,
+            window_p: query.constraint.window_p,
+            window_q: query.constraint.window_q,
+            colored: query.constraint.colored,
+        }
+    }
+
+    /// The engine query this subquery asks for, under the default
+    /// [`CpqConfig`] (the executing shard substitutes its own). Inverse of
+    /// [`from_query`](Self::from_query) on every field the wire carries.
+    /// Rejects unknown algorithm codes and a K that does not fit `usize`.
+    pub fn query(&self) -> Result<Query<D>, ProtoError> {
+        Ok(Query {
+            kind: if self.self_join {
+                QueryKind::SelfJoin
+            } else {
+                QueryKind::Cross
+            },
+            k: usize::try_from(self.k).map_err(|_| ProtoError::BadK(self.k))?,
+            algorithm: algorithm_from_code(self.algorithm)?,
+            constraint: self.constraint(),
+            config: CpqConfig::default(),
+        })
+    }
+
     /// The engine-level constraint this subquery must run under.
     pub fn constraint(&self) -> Constraint<D> {
         Constraint {

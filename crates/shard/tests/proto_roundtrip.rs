@@ -10,10 +10,14 @@
 //! deterministic garbage fuzz checks the decoders never panic on
 //! arbitrary bytes.
 
+use cpq_core::{execute, Algorithm, Constraint, CpqConfig, ExecCtx, NullProbe, Query, QueryKind};
+use cpq_geo::Rect;
 use cpq_rng::Rng;
+use cpq_rtree::{RTree, RTreeError, RTreeParams};
 use cpq_shard::{
     BoundUpdate, PartialResult, ProtoError, ShardManifest, ShardMeta, ShardSubquery, WirePair,
 };
+use cpq_storage::{BufferPool, MemPageFile};
 
 fn sample_manifest() -> ShardManifest<2> {
     ShardManifest {
@@ -228,6 +232,84 @@ fn unconstrained_subquery_round_trips() {
         "unconstrained subquery",
     );
     assert!(!sq.constraint().is_active());
+}
+
+/// `Query → ShardSubquery → bytes → Query` preserves every field the
+/// engine runs on: kind, K (up to the full `u64` range), algorithm and the
+/// constraint (each window present or absent, colored on or off).
+#[test]
+fn query_survives_the_wire() {
+    let w = Rect::from_corners([0.5, -3.0], [8.25, 4.0]);
+    let v = Rect::from_corners([-1.0, 0.0], [2.0, 2.0e300]);
+    let constraints = [
+        Constraint::none(),
+        Constraint::window(w),
+        Constraint::windows(Some(w), None),
+        Constraint::windows(None, Some(v)),
+        Constraint::windows(Some(v), Some(w)).with_colored(),
+        Constraint::colored(),
+    ];
+    let algorithms = [
+        Algorithm::Naive,
+        Algorithm::Exhaustive,
+        Algorithm::Simple,
+        Algorithm::SortedDistances,
+        Algorithm::Heap,
+    ];
+    for kind in [QueryKind::Cross, QueryKind::SelfJoin] {
+        for k in [0usize, 1, 1000, usize::MAX] {
+            for algorithm in algorithms {
+                for constraint in constraints {
+                    let query = Query {
+                        kind,
+                        k,
+                        algorithm,
+                        constraint,
+                        config: CpqConfig::default(),
+                    };
+                    let msg = ShardSubquery::from_query(&query);
+                    let back = ShardSubquery::<2>::decode(&msg.encode())
+                        .and_then(|m| m.query())
+                        .unwrap_or_else(|e| panic!("{query:?}: {e}"));
+                    assert_eq!(back, query);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn subquery_query_rejects_unknown_algorithm_code() {
+    let sq = ShardSubquery::<2> {
+        algorithm: 9,
+        ..sample_subquery()
+    };
+    assert_eq!(sq.query(), Err(ProtoError::BadAlgorithm(9)));
+}
+
+/// A self-join frame with unequal windows decodes (the codec checks form,
+/// not query contracts) and then fails as a typed invalid query when run,
+/// without panicking the executing shard.
+#[test]
+fn decoded_asymmetric_self_join_frame_is_a_typed_error() {
+    let frame = ShardSubquery::<2> {
+        self_join: true,
+        window_p: Some(Rect::from_corners([0.0, 0.0], [5.0, 5.0])),
+        window_q: None,
+        ..sample_subquery()
+    };
+    let query = ShardSubquery::<2>::decode(&frame.encode())
+        .and_then(|m| m.query())
+        .expect("well-formed frame");
+    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 8);
+    let mut tree = RTree::<2>::new(pool, RTreeParams::paper()).unwrap();
+    for i in 0..50u64 {
+        tree.insert(cpq_geo::Point([i as f64, 1.0]), i).unwrap();
+    }
+    match execute(&tree, &tree, &query, ExecCtx::new(&mut NullProbe)) {
+        Err(RTreeError::InvalidQuery(msg)) => assert!(msg.contains("symmetric"), "{msg}"),
+        other => panic!("expected InvalidQuery, got {other:?}"),
+    }
 }
 
 #[test]

@@ -14,13 +14,13 @@
 //! implementation would diverge.
 
 use cpq_core::{
-    k_closest_pairs, self_closest_pairs, Algorithm, CancelToken, CpqConfig, PairResult,
+    k_closest_pairs, self_closest_pairs, Algorithm, CancelToken, CpqConfig, PairResult, Query,
 };
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset};
 use cpq_geo::Point2;
 use cpq_rng::Rng;
 use cpq_rtree::RTreeParams;
-use cpq_shard::{k_closest_pairs_sharded, self_closest_pairs_sharded, ShardConfig, ShardedTree};
+use cpq_shard::{execute_sharded, ShardConfig, ShardedTree};
 use cpq_storage::{BufferPool, MemPageFile};
 
 const ALL: [Algorithm; 5] = [
@@ -112,11 +112,12 @@ fn assert_parity(
         let (seq, run) = match (&tq, &sq) {
             (Some(tq), Some(sq)) => (
                 k_closest_pairs(&tp, tq, k, alg, &cfg).unwrap(),
-                k_closest_pairs_sharded(&sp, sq, k, alg, &cfg, &shard_cfg, None).unwrap(),
+                execute_sharded(&sp, sq, &Query::cross(k, alg, cfg), &shard_cfg, None).unwrap(),
             ),
             _ => (
                 self_closest_pairs(&tp, k, alg, &cfg).unwrap(),
-                self_closest_pairs_sharded(&sp, k, alg, &cfg, &shard_cfg, None).unwrap(),
+                execute_sharded(&sp, &sp, &Query::self_join(k, alg, cfg), &shard_cfg, None)
+                    .unwrap(),
             ),
         };
         let label = format!("{label} {} S={shards} k={k} w={workers}", alg.label());
@@ -197,12 +198,10 @@ fn k_exceeding_pair_count_returns_everything() {
     )
     .unwrap();
     assert_eq!(seq.pairs.len(), 12 * 9);
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 3),
         &build_sharded("q", &q, 3),
-        10_000,
-        Algorithm::Heap,
-        &cfg,
+        &Query::cross(10_000, Algorithm::Heap, cfg),
         &ShardConfig::default(),
         None,
     )
@@ -218,12 +217,13 @@ fn degenerate_inputs_return_empty_complete_runs() {
     let cfg = CpqConfig::paper();
     let shard_cfg = ShardConfig::default();
 
-    let run =
-        k_closest_pairs_sharded(&sp, &empty, 5, Algorithm::Heap, &cfg, &shard_cfg, None).unwrap();
+    let query = Query::cross(5, Algorithm::Heap, cfg);
+    let run = execute_sharded(&sp, &empty, &query, &shard_cfg, None).unwrap();
     assert!(run.completed && run.outcome.pairs.is_empty());
     assert_eq!(run.report, Default::default());
 
-    let run = self_closest_pairs_sharded(&sp, 0, Algorithm::Heap, &cfg, &shard_cfg, None).unwrap();
+    let query = Query::self_join(0, Algorithm::Heap, cfg);
+    let run = execute_sharded(&sp, &sp, &query, &shard_cfg, None).unwrap();
     assert!(run.completed && run.outcome.pairs.is_empty());
 }
 
@@ -233,12 +233,10 @@ fn cancelled_runs_report_incomplete() {
     let q = uniform(400, 24).indexed();
     let cancel = CancelToken::new();
     cancel.cancel();
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 4),
         &build_sharded("q", &q, 4),
-        50,
-        Algorithm::Heap,
-        &CpqConfig::paper(),
+        &Query::cross(50, Algorithm::Heap, CpqConfig::paper()),
         &ShardConfig::default(),
         Some(&cancel),
     )
@@ -259,12 +257,10 @@ fn separated_clusters_prune_most_shard_pairs() {
     };
     let p: Vec<(Point2, u64)> = clustered(600, tight, 25).indexed();
     let q: Vec<(Point2, u64)> = clustered(600, tight, 25).indexed();
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 8),
         &build_sharded("q", &q, 8),
-        1,
-        Algorithm::Heap,
-        &CpqConfig::paper(),
+        &Query::cross(1, Algorithm::Heap, CpqConfig::paper()),
         &ShardConfig {
             workers: 1,
             ..ShardConfig::default()
@@ -289,29 +285,33 @@ fn different_shard_counts_agree_with_each_other() {
     let objects = d.indexed();
     let cfg = CpqConfig::paper();
     let shard_cfg = ShardConfig::default();
-    let base = self_closest_pairs_sharded(
-        &build_sharded("d", &objects, 2),
-        40,
-        Algorithm::SortedDistances,
-        &cfg,
-        &shard_cfg,
-        None,
-    )
-    .unwrap();
+    let query = Query::self_join(40, Algorithm::SortedDistances, cfg);
+    let two = build_sharded("d", &objects, 2);
+    let base = execute_sharded(&two, &two, &query, &shard_cfg, None).unwrap();
     for shards in [3usize, 5, 8] {
-        let other = self_closest_pairs_sharded(
-            &build_sharded("d", &objects, shards),
-            40,
-            Algorithm::SortedDistances,
-            &cfg,
-            &shard_cfg,
-            None,
-        )
-        .unwrap();
+        let many = build_sharded("d", &objects, shards);
+        let other = execute_sharded(&many, &many, &query, &shard_cfg, None).unwrap();
         assert_pairs_bitwise(
             &base.outcome.pairs,
             &other.outcome.pairs,
             &format!("S=2 vs S={shards}"),
         );
+    }
+}
+
+#[test]
+fn asymmetric_self_join_window_fails_before_planning() {
+    let sp = build_sharded("p", &uniform(200, 27).indexed(), 4);
+    let lopsided = cpq_core::Constraint::windows(
+        Some(cpq_geo::Rect::from_corners([0.0, 0.0], [500.0, 500.0])),
+        None,
+    );
+    let query = Query::self_join(5, Algorithm::Heap, CpqConfig::paper()).with_constraint(lopsided);
+    match execute_sharded(&sp, &sp, &query, &ShardConfig::default(), None) {
+        Err(cpq_shard::ShardError::Tree(cpq_rtree::RTreeError::InvalidQuery(msg))) => {
+            assert!(msg.contains("symmetric"), "{msg}")
+        }
+        Err(e) => panic!("expected InvalidQuery, got {e}"),
+        Ok(_) => panic!("asymmetric self-join window accepted"),
     }
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cpq::core::{closest_pair, k_closest_pairs, Algorithm, CpqConfig};
+use cpq::core::{k_closest_pairs, Algorithm, CpqConfig};
 use cpq::datasets::uniform;
 use cpq::geo::Point;
 use cpq::rtree::{RTree, RTreeParams};
@@ -37,9 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tree_q.height()
     );
 
-    // The single closest pair (1-CPQ), using the paper's best all-round
-    // algorithm.
-    let out = closest_pair(&tree_p, &tree_q, Algorithm::Heap, &CpqConfig::paper())?;
+    // The single closest pair (1-CPQ: K = 1, which enables the MINMAXDIST
+    // bound), using the paper's best all-round algorithm.
+    let out = k_closest_pairs(&tree_p, &tree_q, 1, Algorithm::Heap, &CpqConfig::paper())?;
     let best = out.best().expect("non-empty data sets");
     println!(
         "closest pair: P#{} {:?} <-> Q#{} {:?}, distance {:.4}",

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, lints, release build, full test suite.
+# Offline CI gate: formatting, lints, rustdoc, release build, full test suite.
 # The workspace has zero registry dependencies, so every step runs
 # without network access.
 set -eu
@@ -11,6 +11,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc warnings are errors: an intra-doc link to a renamed or deleted
+# item (or to a private one from public docs) fails the gate.
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release"
 cargo build --release --workspace
